@@ -2,15 +2,15 @@
 
 Subpackages by role:
 
-- hypgeo:   hyperbolic metric/distance kernels, Stolz angles, horodiscs,
-            Julia and distance-lemma checks
+- hypgeo:   hyperbolic metric/distance kernels, Stolz angles, half-plane
+            sectors, Julia and distance-lemma checks
 - domains:  concrete domains with exact Riemann maps and boundary distances
-- maps:     the model-map zoo with linearizing charts and orbit engines
+- maps:     the model-map zoo, one chart kernel per charted model, orbit engines
 - rates:    divergence/Euclidean rate series, fits, verdicts
 - slope:    slope series and tangentiality classification
 - semiflow: continuous-time trajectories through the charts
 - qgeo:     discrete/continuous quasi-geodesic certification
-- harmonic: Poisson quadrature and walk-on-spheres harmonic measure
+- harmonic: closed-form arc measure and walk-on-spheres harmonic measure
 - opnorm:   composition-operator norm bounds
 - cli:      command-line front end and the acceptance suite driver
 """

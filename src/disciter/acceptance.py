@@ -259,9 +259,7 @@ def criterion_10_semiflow(seed=DEFAULT_SEED):
     details = {}
     for f, z0 in models:
         traj = semiflow.make_trajectory(f, z0)
-        # The scaling chart saturates doubles past t ~ 50; keep its continuous
-        # grids where the disc point is comfortably representable.
-        t_hi = 40.0 if f.variant == "hyp-aut" else 100.0
+        t_hi = traj.horizon
         t_grid = np.arange(0.0, t_hi + 0.25, 0.25)
         pairs = list(zip(rng.uniform(0, t_hi, 64), rng.uniform(0, t_hi, 64)))
         st_pairs = [(rng.uniform(0, t_hi / 2), rng.uniform(0, t_hi / 2))

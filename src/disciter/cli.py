@@ -36,7 +36,7 @@ _ALLOWED_KEYS = {
     "hm": {"mode", "z", "theta1", "theta2", "target", "slit", "cut"},
     "opnorm": {"p", "alpha"},
     "output": {"basename"},
-    "tolerances": {"closed_form", "quadrature"},
+    "tolerances": {"closed_form"},
 }
 
 
@@ -165,7 +165,8 @@ def _cmd_rate(args, cfg):
     report = rates.rate_report(
         f, _start_point(cfg), _grid(cfg, f),
         epsilon=_get(cfg, "rate", "epsilon", float, 0.5),
-        lower_eps=_get(cfg, "rate", "lower_eps", float, 0.9))
+        lower_eps=_get(cfg, "rate", "lower_eps", float, 0.9),
+        non_tangential=_get(cfg, "rate", "non_tangential", bool, None))
     header, cols = report.csv_columns()
     _emit(args, cfg, header, cols, report.to_dict(),
           (np.log(np.maximum(report.ns, 1)), report.divergence.d,
@@ -205,10 +206,7 @@ def _cmd_qg(args, cfg):
 def _cmd_semiflow(args, cfg):
     f = _resolve_map(cfg)
     traj = semiflow.make_trajectory(f, _start_point(cfg))
-    # The scaling chart reaches the working-precision boundary near t ~ 50;
-    # its default horizon stays below that (explicit t_max still wins).
-    t_default = 40.0 if f.variant == "hyp-aut" else 100.0
-    t_max = _get(cfg, "semiflow", "t_max", float, t_default)
+    t_max = _get(cfg, "semiflow", "t_max", float, traj.horizon)
     tol = _get(cfg, "tolerances", "closed_form", float, 1e-12)
     ts = np.arange(0.0, t_max + 0.25, 0.25)
     pts = np.atleast_1d(traj.point(ts))
@@ -238,8 +236,7 @@ def _cmd_hm(args, cfg):
         z = complex(_get(cfg, "hm", "z", str, "0").replace(" ", ""))
         t1 = _get(cfg, "hm", "theta1", float, 0.0)
         t2 = _get(cfg, "hm", "theta2", float, math.pi)
-        quad_tol = _get(cfg, "tolerances", "quadrature", float, 1e-12)
-        est = harmonic.hm_disk_arc(z, t1, t2, epsabs=quad_tol)
+        est = harmonic.hm_disk_arc(z, t1, t2)
         _emit(args, cfg, ["value", "method"], [[est.value], [est.method]],
               {"schema": "disciter/hm/v1", **est.to_dict()},
               (np.array([t1, t2]), np.array([est.value, est.value]),

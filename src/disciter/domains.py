@@ -2,8 +2,8 @@
 
 Every descriptor supplies an exact membership test, the Euclidean boundary
 distance, a closed-form Riemann map pair to/from the unit disc (except the
-strip, which is kept only for classification displays), the hyperbolic metric
-density, and exact hyperbolic distances by conformal transport.
+strip, the scaling chart's image), the hyperbolic metric density, and exact
+hyperbolic distances by conformal transport.
 
 The canonical slit plane is K = C \\ (-inf, -1], uniformized by
 
@@ -65,8 +65,8 @@ class SimplyConnectedDescriptor:
     """A named domain: membership, boundary distance, Riemann pair, metric.
 
     Tags: disc, right-half-plane, upper-half-plane, strip (param = half-width),
-    slit-plane-k, horodisc (param = level R).  The strip supplies no Riemann
-    pair and no transported distance.
+    slit-plane-k.  The strip supplies no Riemann pair and no transported
+    distance.
     """
 
     tag: str
@@ -74,20 +74,11 @@ class SimplyConnectedDescriptor:
 
     def __post_init__(self):
         if self.tag not in ("disc", "right-half-plane", "upper-half-plane",
-                            "strip", "slit-plane-k", "horodisc"):
+                            "strip", "slit-plane-k"):
             raise ValueError(f"unknown domain tag {self.tag!r}")
-        if self.tag in ("strip", "horodisc"):
+        if self.tag == "strip":
             if self.param is None or not self.param > 0.0:
                 raise InvalidPointError(f"{self.tag} requires a positive parameter")
-
-    # -- horodisc geometry (contact point fixed at 1) ----------------------
-    @property
-    def _horo_radius(self):
-        return self.param / (1.0 + self.param)
-
-    @property
-    def _horo_center(self):
-        return complex(1.0 - self._horo_radius, 0.0)
 
     def contains(self, w):
         w = np.asarray(as_complex(w), dtype=complex)
@@ -99,9 +90,7 @@ class SimplyConnectedDescriptor:
             return np.imag(w) > 0.0
         if self.tag == "strip":
             return np.abs(np.imag(w)) < self.param
-        if self.tag == "slit-plane-k":
-            return _slit_contains(w)
-        return np.abs(w - self._horo_center) < self._horo_radius
+        return _slit_contains(w)
 
     def _require_inside(self, w, where):
         w = as_complex(w)
@@ -139,10 +128,8 @@ class SimplyConnectedDescriptor:
             out = np.imag(wa)
         elif self.tag == "strip":
             out = self.param - np.abs(np.imag(wa))
-        elif self.tag == "slit-plane-k":
-            out = _slit_boundary_distance(wa)
         else:
-            out = self._horo_radius - np.abs(wa - self._horo_center)
+            out = _slit_boundary_distance(wa)
         return out if isinstance(w, np.ndarray) else float(out)
 
     def to_disk(self, w):
@@ -156,8 +143,6 @@ class SimplyConnectedDescriptor:
             return (w - 1j) / (w + 1j)
         if self.tag == "slit-plane-k":
             return slit_riemann_inv(w)
-        if self.tag == "horodisc":
-            return (w - self._horo_center) / self._horo_radius
         raise UnsupportedModelError("strip supplies no Riemann pair")
 
     def from_disk(self, z):
@@ -170,8 +155,6 @@ class SimplyConnectedDescriptor:
             return 1j * (1.0 + z) / (1.0 - z)
         if self.tag == "slit-plane-k":
             return slit_riemann(z)
-        if self.tag == "horodisc":
-            return self._horo_center + self._horo_radius * z
         raise UnsupportedModelError("strip supplies no Riemann pair")
 
     def metric_density(self, w):
@@ -185,10 +168,7 @@ class SimplyConnectedDescriptor:
         if self.tag == "strip":
             a = self.param
             return math.pi / (4.0 * a) / np.cos(math.pi * np.imag(np.asarray(w)) / (2.0 * a))
-        if self.tag == "slit-plane-k":
-            return _slit_metric(w)
-        r = self._horo_radius
-        return r / (r * r - np.abs(np.asarray(w) - self._horo_center) ** 2)
+        return _slit_metric(w)
 
 
 DISC = SimplyConnectedDescriptor("disc")
@@ -199,27 +179,6 @@ SLIT_PLANE_K = SimplyConnectedDescriptor("slit-plane-k")
 
 def strip(half_width):
     return SimplyConnectedDescriptor("strip", float(half_width))
-
-
-def horodisc(level):
-    return SimplyConnectedDescriptor("horodisc", float(level))
-
-
-_CLI_NAMES = {"disc": DISC, "rhp": RIGHT_HALF_PLANE, "uhp": UPPER_HALF_PLANE,
-              "k-slit": SLIT_PLANE_K}
-
-
-def by_name(name):
-    """Resolve a CLI domain name: disc, rhp, uhp, k-slit, horodisc:R, strip:a."""
-    if name in _CLI_NAMES:
-        return _CLI_NAMES[name]
-    if ":" in name:
-        tag, _, arg = name.partition(":")
-        if tag == "horodisc":
-            return horodisc(float(arg))
-        if tag == "strip":
-            return strip(float(arg))
-    raise InvalidPointError(f"unknown domain name {name!r}")
 
 
 def dist_domain(domain: SimplyConnectedDescriptor, w1, w2):
@@ -240,15 +199,13 @@ def dist_domain(domain: SimplyConnectedDescriptor, w1, w2):
         return dist_halfplane(w1, w2, "upper")
     if tag == "strip":
         raise UnsupportedModelError("strip distance is not provided")
-    if tag == "slit-plane-k":
-        both_real = (np.imag(np.asarray(w1)) == 0.0) & (np.imag(np.asarray(w2)) == 0.0)
-        if np.all(both_real):
-            a = np.real(np.asarray(w1))
-            b = np.real(np.asarray(w2))
-            out = 0.25 * np.abs(np.log1p(b) - np.log1p(a))
-            return float(out) if np.ndim(out) == 0 else out
-        return dist_disk(slit_riemann_inv(w1), slit_riemann_inv(w2))
-    return dist_disk(domain.to_disk(w1), domain.to_disk(w2))
+    both_real = (np.imag(np.asarray(w1)) == 0.0) & (np.imag(np.asarray(w2)) == 0.0)
+    if np.all(both_real):
+        a = np.real(np.asarray(w1))
+        b = np.real(np.asarray(w2))
+        out = 0.25 * np.abs(np.log1p(b) - np.log1p(a))
+        return float(out) if np.ndim(out) == 0 else out
+    return dist_disk(slit_riemann_inv(w1), slit_riemann_inv(w2))
 
 
 def horodisc_tangency_ratio(level, z):
@@ -277,23 +234,3 @@ def horodisc_tangency_ratio(level, z):
     return out if np.ndim(out) else float(out)
 
 
-# ---------------------------------------------------------------------------
-# The punctured-lattice domain C \ {-1, -2, ...} is kept only as a membership
-# predicate plus the inclusion upper bound through K; no covering map here.
-# ---------------------------------------------------------------------------
-
-def omega_n_contains(w):
-    """Membership in C \\ {-n : n = 1, 2, ...}."""
-    w = np.asarray(as_complex(w), dtype=complex)
-    x, y = np.real(w), np.imag(w)
-    is_puncture = (y == 0.0) & (x <= -1.0) & (x == np.floor(x))
-    return ~is_puncture
-
-
-def omega_n_distance_upper(n):
-    """Upper bound d(1, 1+n) <= d_K(1, 1+n) by domain inclusion; the left side
-    is never computed."""
-    n = np.asarray(n, dtype=float)
-    if np.any(n < 0):
-        raise InvalidPointError("n must be >= 0")
-    return 0.25 * (np.log1p(1.0 + n) - math.log(2.0))

@@ -1,7 +1,7 @@
-"""Harmonic measure: exact Poisson quadrature and walk-on-spheres Monte Carlo.
+"""Harmonic measure: the closed-form Poisson integral and walk-on-spheres Monte Carlo.
 
-Boundary arcs of the disc are integrated adaptively against the Poisson
-kernel.  Slit domains (the disc minus a polyline) are handled by
+Boundary arcs of the disc use the closed form of the Poisson integral (an
+angle subtended at z).  Slit domains (the disc minus a polyline) are handled by
 walk-on-spheres: jump to a uniform point of the maximal inscribed circle,
 absorb within eps of the boundary, classify by the nearest boundary part.
 Estimates are unbiased up to O(eps) boundary-classification error.
@@ -13,11 +13,11 @@ parallel execution would reproduce the serial estimate bit for bit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidPointError
 from .hypgeo import require_in_disk
@@ -59,34 +59,26 @@ def arc_diameter(theta1, theta2):
     return 2.0 if spread >= math.pi else 2.0 * math.sin(spread / 2.0)
 
 
-def hm_disk_arc(z, theta1, theta2, epsabs=1e-12):
-    """Harmonic measure of a circle arc seen from z, by adaptive quadrature."""
+def hm_disk_arc(z, theta1, theta2):
+    """Harmonic measure of the circle arc theta1..theta2 seen from z.
+
+    The Poisson integral has the closed form
+
+        omega = arg_[0, 2pi)((e^{i theta2} - z)/(e^{i theta1} - z))/pi - (theta2 - theta1)/(2 pi).
+
+    That arg lies in (spread/2, pi + spread/2), so it is taken relative to the
+    middle of that range, (spread + pi)/2, where the principal branch has no
+    cut; the empty arc and the full circle are exact.
+    """
     z = complex(require_in_disk(z, "hm_disk_arc"))
     if not theta1 <= theta2 <= theta1 + 2.0 * math.pi:
         raise InvalidPointError("need theta1 <= theta2 <= theta1 + 2*pi")
-    if theta1 == theta2:
-        return HmEstimate(value=0.0, method="poisson-quadrature")
-    a = abs(z)
-
-    def poisson(theta):
-        return (1.0 - a * a) / abs(np.exp(1j * theta) - z) ** 2 / (2.0 * math.pi)
-
-    val, _ = quad(poisson, theta1, theta2, epsabs=epsabs, epsrel=epsabs, limit=400)
-    return HmEstimate(value=float(val), method="poisson-quadrature")
-
-
-def hm_halfplane_interval(w, a, b):
-    """Harmonic measure of the real interval [a, b] from w in the upper half-plane.
-
-    Equals the subtended angle over pi; used as the closed-form side of the
-    conformal-subordination cross-checks.
-    """
-    w = complex(w)
-    if w.imag <= 0:
-        raise InvalidPointError("w must lie in the upper half-plane")
-    if not a < b:
-        raise InvalidPointError("need a < b")
-    return float(np.angle((b - w) / (a - w))) / math.pi
+    spread = theta2 - theta1
+    if spread == 0.0 or spread == 2.0 * math.pi:
+        return HmEstimate(value=spread / (2.0 * math.pi), method="poisson-quadrature")
+    ratio = (cmath.exp(1j * theta2) - z) / (cmath.exp(1j * theta1) - z)
+    value = 0.5 + cmath.phase(ratio * cmath.exp(-0.5j * (spread + math.pi))) / math.pi
+    return HmEstimate(value=value, method="poisson-quadrature")
 
 
 # ---------------------------------------------------------------------------

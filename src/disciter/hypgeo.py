@@ -82,35 +82,6 @@ class StolzAngle:
 
 
 @dataclass(frozen=True)
-class Horodisc:
-    """Euclidean disc internally tangent to the unit circle.
-
-    Level R is the value of the boundary quotient |tau - z|^2 / (1 - |z|^2) on
-    the horodisc boundary; the Euclidean radius is r = R/(1+R) and the center
-    tau*(1 - r).
-    """
-
-    contact: BoundaryPoint
-    level: float
-
-    def __post_init__(self):
-        if not self.level > 0.0:
-            raise InvalidPointError("horodisc level must be > 0")
-
-    @property
-    def radius(self):
-        return self.level / (1.0 + self.level)
-
-    @property
-    def center(self):
-        return self.contact.value * (1.0 - self.radius)
-
-    def contains(self, z):
-        z = np.asarray(z, dtype=complex)
-        return np.abs(z - self.center) < self.radius
-
-
-@dataclass(frozen=True)
 class HalfPlaneSector:
     """Sector around the positive-axis geodesic of the right half-plane.
 

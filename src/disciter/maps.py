@@ -18,10 +18,16 @@ QuadraticParabolic   f(z) = (1 + z^2)/2, non-univalent (f(z) = f(-z)), no
                      independent recurrence e_{n+1} = e_n - e_n^2/2.
 Custom               user evaluation rule, optionally with a chart.
 
-Orbits of charted variants are computed in chart coordinates; the hyperbolic
-automorphism stores log-scale data so rates stay exact at iteration counts
-where materialized doubles would saturate.  Disc materialization flags points
-indistinguishable from the boundary instead of silently clipping.
+Each charted zoo member owns one kernel: the closed forms of its semiflow
+phi_t(z0) = h^{-1}(h(z0) + t) as functions of real t (Koenigs coordinate, log
+boundary gap, log(1 - |z|^2), slope angle, pair distances, disc point with a
+saturation flag).  An orbit is its kernel at integer t, and a
+semiflow.Trajectory is the same kernel at real t, so the two agree bit for
+bit at integer times.  The scaling kernel keeps log-scale data so rates stay
+exact at iteration counts where materialized doubles would saturate.  Disc
+materialization flags points indistinguishable from the boundary instead of
+silently clipping.  Maps without a kernel (quad, custom) iterate by direct
+composition.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 from .errors import InvalidPointError, UnsupportedModelError
 from . import domains
 from .hypgeo import BoundaryPoint, dist_disk, require_in_disk
-from .util import SATURATION_EPS, geometric_grid
+from .util import SATURATION_EPS
 
 N_CAP_CHARTED = 10 ** 7
 N_CAP_BLACKBOX = 10 ** 6
@@ -72,6 +78,10 @@ class ModelMap:
     univalent: bool = True
     omega_starlike: bool = False
     params: tuple = field(default_factory=tuple)
+    # z0 -> the model's chart kernel; None for maps iterated by composition
+    # (custom maps too, even when they declare a chart).
+    kernel: callable = None
+    non_tangential: bool = False  # do orbits converge non-tangentially?
 
     @property
     def charted(self):
@@ -79,18 +89,14 @@ class ModelMap:
 
     @property
     def n_cap(self):
-        # Custom maps iterate by direct composition even when they declare a
-        # chart, so they keep the black-box cap.
-        if self.charted and self.variant != "custom":
-            return N_CAP_CHARTED
-        return N_CAP_BLACKBOX
+        return N_CAP_BLACKBOX if self.kernel is None else N_CAP_CHARTED
 
     def __call__(self, z):
         return self.func(z)
 
 
 # ---------------------------------------------------------------------------
-# Constructors
+# Chart-space closed forms (exact where doubles allow)
 # ---------------------------------------------------------------------------
 
 def _cayley_right(z):
@@ -108,6 +114,164 @@ def _cayley_upper(z):
 def _cayley_upper_inv(w):
     return (w - 1j) / (w + 1j)
 
+
+def _unwrap(x):
+    return x if np.ndim(x) else float(x)
+
+
+def _log_one_minus_mod(q):
+    """log(1 - |z|) from q = log(1 - |z|^2), using |z| = sqrt(1 - e^q)."""
+    m = np.sqrt(-np.expm1(np.minimum(q, 0.0)))
+    return q - np.log1p(m)
+
+
+def _ray_dist(L, theta):
+    """d(w, e^L w) in the right half-plane for w on the ray arg w = theta.
+
+    Stable for all L >= 0: underflow of exp(-L) reproduces the exact limit
+    L/2 + log(1/|cos theta|).
+    """
+    L = np.asarray(L, dtype=float)
+    u = np.exp(-L)
+    one_minus_u = -np.expm1(-L)
+    c2 = 2.0 * math.cos(theta) ** 2  # = 1 + cos(2 theta), no cancellation
+    core = np.sqrt(one_minus_u ** 2 + 2.0 * u * c2) + one_minus_u
+    return _unwrap(0.5 * L + np.log(core) - 0.5 * np.log(2.0 * c2))
+
+
+def _upper_offset_dist(b, s):
+    """d(w, w + s) in the upper half-plane, Im w = b > 0, real offset s >= 0."""
+    s = np.asarray(s, dtype=float)
+    rho = np.hypot(s, 2.0 * b)
+    return _unwrap(0.5 * np.log1p(s * (rho + s) / (2.0 * b * b)))
+
+
+def _times(t):
+    return np.asarray(t, dtype=float)
+
+
+@dataclass(frozen=True)
+class _Kernel:
+    """Closed forms of phi_t(z0) for one start z0, each a function of real t.
+
+    koenigs(t)               h(phi_t z0)
+    log_gap(t)               log |phi_t z0 - tau|
+    log_one_minus_mod_sq(t)  log(1 - |phi_t z0|^2)
+    slope_angle(t)           arg(1 - conj(tau) phi_t z0)
+    pair_dist(t, s)          d(phi_t z0, phi_s z0)
+    disc_point(t)            (phi_t z0, saturated flag)
+    horizon                  default continuous-time horizon: the disc point
+                             stays comfortably representable up to it
+    """
+
+    koenigs: callable
+    log_gap: callable
+    log_one_minus_mod_sq: callable
+    slope_angle: callable
+    pair_dist: callable
+    disc_point: callable
+    horizon: float
+
+
+def _scaling_kernel(z0, lam):
+    """w_t = lam^t w0 in the right half-plane chart, stored as log|w_t| and arg w0."""
+    w0 = complex(_cayley_right(z0))
+    logr0 = math.log(abs(w0))
+    theta = math.atan2(w0.imag, w0.real)
+    loglam = math.log(lam)
+
+    def log_w(t):
+        return logr0 + _times(t) * loglam
+
+    def log_abs_w_plus_1(t):
+        L = log_w(t)
+        u = np.exp(-L)
+        return L + 0.5 * np.log1p(u * (2.0 * math.cos(theta) + u))
+
+    def log_one_minus_mod_sq(t):
+        return math.log(4.0 * math.cos(theta)) + log_w(t) - 2.0 * log_abs_w_plus_1(t)
+
+    def slope_angle(t):
+        # arg(1 - z_t) = -arg(w_t + 1) = -arg(e^{i theta} + e^{-L})
+        u = np.exp(-log_w(t))
+        return _unwrap(-np.arctan2(math.sin(theta), math.cos(theta) + u))
+
+    def disc_point(t):
+        sat = _log_one_minus_mod(log_one_minus_mod_sq(t)) < math.log(SATURATION_EPS)
+        w = np.exp(np.minimum(log_w(t), 700.0)) * cmath.exp(1j * theta)
+        return np.where(sat, 1.0, _cayley_right_inv(w)), sat
+
+    return _Kernel(
+        koenigs=lambda t: (logr0 + 1j * theta) / loglam + _times(t),
+        log_gap=lambda t: math.log(2.0) - log_abs_w_plus_1(t),
+        log_one_minus_mod_sq=log_one_minus_mod_sq,
+        slope_angle=slope_angle,
+        pair_dist=lambda t, s: _ray_dist(np.abs(_times(s) - _times(t)) * loglam, theta),
+        disc_point=disc_point,
+        # The scaling chart reaches the working-precision boundary near t ~ 50.
+        horizon=40.0)
+
+
+def _upper_kernel(z0):
+    """w_t = w0 + t in the upper half-plane chart."""
+    w0 = complex(_cayley_upper(z0))
+
+    def w(t):
+        return w0 + _times(t)
+
+    def log_one_minus_mod_sq(t):
+        return np.log(4.0 * np.imag(w(t))) - 2.0 * np.log(np.abs(w(t) + 1j))
+
+    def disc_point(t):
+        z = _cayley_upper_inv(w(t))
+        return z, is_boundary_saturated(z)
+
+    return _Kernel(
+        koenigs=w,
+        log_gap=lambda t: math.log(2.0) - np.log(np.abs(w(t) + 1j)),
+        log_one_minus_mod_sq=log_one_minus_mod_sq,
+        slope_angle=lambda t: _unwrap(np.angle(2j / (w(t) + 1j))),  # 1 - z_t = 2i/(w_t + i)
+        pair_dist=lambda t, s: _upper_offset_dist(w0.imag, np.abs(_times(s) - _times(t))),
+        disc_point=disc_point,
+        horizon=100.0)
+
+
+def _slit_kernel(z0):
+    """w_t = w0 + t in K; s = principal sqrt(w + 1) lies in the right
+    half-plane and z = (s-1)/(s+1)."""
+    w0 = complex(domains.slit_riemann(z0))
+
+    def s(t):
+        return np.sqrt(np.asarray(w0 + _times(t), dtype=complex) + 1.0)
+
+    def log_one_minus_mod_sq(t):
+        return np.log(4.0 * np.real(s(t))) - 2.0 * np.log(np.abs(s(t) + 1.0))
+
+    def pair_dist(t, u):
+        if w0.imag == 0.0:
+            # Real orbits ride the real geodesic of the slit plane.
+            a = w0.real + _times(t)
+            b = w0.real + _times(u)
+            return _unwrap(0.25 * np.abs(np.log1p(b) - np.log1p(a)))
+        return dist_disk(_cayley_right_inv(s(t)), _cayley_right_inv(s(u)))
+
+    def disc_point(t):
+        z = _cayley_right_inv(s(t))
+        return z, is_boundary_saturated(z)
+
+    return _Kernel(
+        koenigs=lambda t: w0 + _times(t),
+        log_gap=lambda t: math.log(2.0) - np.log(np.abs(s(t) + 1.0)),
+        log_one_minus_mod_sq=log_one_minus_mod_sq,
+        slope_angle=lambda t: _unwrap(np.angle(2.0 / (s(t) + 1.0))),  # 1 - z_t = 2/(s_t + 1)
+        pair_dist=pair_dist,
+        disc_point=disc_point,
+        horizon=100.0)
+
+
+# ---------------------------------------------------------------------------
+# Constructors
+# ---------------------------------------------------------------------------
 
 def hyperbolic_automorphism(lam):
     """Disc automorphism conjugate to w -> lam*w on the right half-plane."""
@@ -128,7 +292,8 @@ def hyperbolic_automorphism(lam):
     )
     return ModelMap(name=f"hyp:{lam:g}", variant="hyp-aut", func=f,
                     tau=BoundaryPoint(0.0), f_prime_tau=1.0 / lam, chart=chart,
-                    univalent=True, omega_starlike=True, params=(lam,))
+                    univalent=True, omega_starlike=True, params=(lam,),
+                    kernel=lambda z0: _scaling_kernel(z0, lam), non_tangential=True)
 
 
 def parabolic_automorphism():
@@ -146,7 +311,8 @@ def parabolic_automorphism():
     )
     return ModelMap(name="parab-aut", variant="parab-aut", func=f,
                     tau=BoundaryPoint(0.0), f_prime_tau=1.0, chart=chart,
-                    univalent=True, omega_starlike=True)
+                    univalent=True, omega_starlike=True, kernel=_upper_kernel,
+                    non_tangential=False)
 
 
 def koebe_shift():
@@ -164,7 +330,8 @@ def koebe_shift():
     )
     return ModelMap(name="koebe", variant="koebe", func=f,
                     tau=BoundaryPoint(0.0), f_prime_tau=1.0, chart=chart,
-                    univalent=True, omega_starlike=True)
+                    univalent=True, omega_starlike=True, kernel=_slit_kernel,
+                    non_tangential=True)
 
 
 def quadratic_parabolic():
@@ -176,7 +343,7 @@ def quadratic_parabolic():
 
     return ModelMap(name="quad", variant="quad", func=f,
                     tau=BoundaryPoint(0.0), f_prime_tau=1.0, chart=None,
-                    univalent=False, omega_starlike=False)
+                    univalent=False, omega_starlike=False, non_tangential=True)
 
 
 def custom_map(func, tau_angle=0.0, f_prime_tau=None, univalent=False,
@@ -184,8 +351,7 @@ def custom_map(func, tau_angle=0.0, f_prime_tau=None, univalent=False,
     """Black-box map from a user evaluation rule, optionally with a chart.
 
     A declared chart on a custom map supplies metadata (image domain, declared
-    type for the classification cross-check); iteration still composes the
-    evaluation rule directly.
+    type); iteration still composes the evaluation rule directly.
     """
     return ModelMap(name=name, variant="custom", func=func,
                     tau=BoundaryPoint(tau_angle), f_prime_tau=f_prime_tau,
@@ -225,33 +391,6 @@ def is_boundary_saturated(z):
 
 
 # ---------------------------------------------------------------------------
-# Chart-space distance helpers (exact where doubles allow)
-# ---------------------------------------------------------------------------
-
-def _ray_dist(L, theta):
-    """d(w, e^L w) in the right half-plane for w on the ray arg w = theta.
-
-    Stable for all L >= 0: underflow of exp(-L) reproduces the exact limit
-    L/2 + log(1/|cos theta|).
-    """
-    L = np.asarray(L, dtype=float)
-    u = np.exp(-L)
-    one_minus_u = -np.expm1(-L)
-    c2 = 2.0 * math.cos(theta) ** 2  # = 1 + cos(2 theta), no cancellation
-    core = np.sqrt(one_minus_u ** 2 + 2.0 * u * c2) + one_minus_u
-    out = 0.5 * L + np.log(core) - 0.5 * np.log(2.0 * c2)
-    return out if out.ndim else float(out)
-
-
-def _upper_offset_dist(b, s):
-    """d(w, w + s) in the upper half-plane, Im w = b > 0, real offset s >= 0."""
-    s = np.asarray(s, dtype=float)
-    rho = np.hypot(s, 2.0 * b)
-    out = 0.5 * np.log1p(s * (rho + s) / (2.0 * b * b))
-    return out if out.ndim else float(out)
-
-
-# ---------------------------------------------------------------------------
 # Orbits
 # ---------------------------------------------------------------------------
 
@@ -260,9 +399,9 @@ class OrbitRecord:
 
     Disc points are materialized on demand and carry a saturation flag; the
     analysis accessors (distances, Euclidean gaps, slope angles, Julia
-    quotients) are computed in chart coordinates for charted variants, so they
-    remain exact at indices where materialized doubles fail.  f^0 is the
-    identity.  Accessors take an int or an integer array of indices.
+    quotients) come from the model's kernel when it has one, so they remain
+    exact at indices where materialized doubles fail.  f^0 is the identity.
+    Accessors take an int or an integer array of indices.
     """
 
     def __init__(self, map_, z0, n_max):
@@ -276,7 +415,6 @@ class OrbitRecord:
         self.z0 = complex(require_in_disk(z0, "orbit start"))
         self.n_max = n_max
         self.tau = map_.tau.value
-        self.declared_type = map_.chart.declared_type if map_.charted else None
 
     # -- interface ----------------------------------------------------------
     def _check(self, n):
@@ -295,9 +433,7 @@ class OrbitRecord:
         return np.exp(self.log_one_minus_mod(n))
 
     def log_one_minus_mod(self, n):
-        q = self.log_one_minus_mod_sq(n)
-        m = np.sqrt(-np.expm1(np.minimum(q, 0.0)))  # |z| = sqrt(1 - (1-|z|^2))
-        return q - np.log1p(m)
+        return _log_one_minus_mod(self.log_one_minus_mod_sq(n))
 
     def dist_to_tau(self, n):
         return np.exp(self.log_dist_to_tau(n))
@@ -308,6 +444,10 @@ class OrbitRecord:
         logu = lambda k: 2.0 * self.log_dist_to_tau(k) - self.log_one_minus_mod_sq(k)
         return logu(n + 1) - logu(n)
 
+    def step(self, n):
+        n = self._check(n)
+        return self.pair_dist(n, n + 1)
+
     def steps_prefix(self, m):
         """Cumulative step sums S[k] = sum_{j<k} step(j), k = 0..m."""
         m = int(m)
@@ -317,141 +457,37 @@ class OrbitRecord:
         return out
 
 
-class _HyperbolicOrbit(OrbitRecord):
-    """Orbit stored as log|w| in the right half-plane chart (log-scale)."""
+class _ChartedOrbit(OrbitRecord):
+    """The model's kernel sampled at integer times."""
 
     def __init__(self, map_, z0, n_max):
         super().__init__(map_, z0, n_max)
-        w0 = complex(_cayley_right(self.z0))
-        self._logr0 = math.log(abs(w0))
-        self._theta = math.atan2(w0.imag, w0.real)
-        self._loglam = math.log(map_.params[0])
-
-    def _logw(self, n):
-        return self._logr0 + np.asarray(n, dtype=float) * self._loglam
+        self._kernel = map_.kernel(self.z0)
 
     def koenigs(self, n):
-        n = self._check(n)
-        return (self._logr0 + 1j * self._theta) / self._loglam + n
-
-    def _log_abs_w_plus_1(self, n):
-        L = self._logw(n)
-        u = np.exp(-L)
-        c = math.cos(self._theta)
-        return L + 0.5 * np.log1p(u * (2.0 * c + u))
+        return self._kernel.koenigs(self._check(n))
 
     def disc_point(self, n):
         n = self._check(n)
-        L = self._logw(n)
-        sat = self.log_one_minus_mod(n) < math.log(SATURATION_EPS)
-        w = np.exp(np.minimum(L, 700.0)) * cmath.exp(1j * self._theta)
-        z = np.where(sat, self.tau, _cayley_right_inv(w))
+        z, sat = self._kernel.disc_point(n)
         z = np.where(n == 0, self.z0, z)  # f^0 is the identity, exactly
         return (z, sat) if np.ndim(n) else (complex(z), bool(sat))
 
     def log_one_minus_mod_sq(self, n):
-        n = self._check(n)
-        L = self._logw(n)
-        return math.log(4.0 * math.cos(self._theta)) + L - 2.0 * self._log_abs_w_plus_1(n)
+        return self._kernel.log_one_minus_mod_sq(self._check(n))
 
     def log_dist_to_tau(self, n):
-        n = self._check(n)
-        return math.log(2.0) - self._log_abs_w_plus_1(n)
+        return self._kernel.log_gap(self._check(n))
+
+    def pair_dist(self, n, m):
+        return self._kernel.pair_dist(self._check(n), self._check(m))
 
     def dist_from_start(self, n):
         n = self._check(n)
-        return _ray_dist(np.asarray(n, dtype=float) * self._loglam, self._theta)
-
-    def pair_dist(self, n, m):
-        n, m = self._check(n), self._check(m)
-        return _ray_dist(np.abs(m - n).astype(float) * self._loglam, self._theta)
-
-    def step(self, n):
-        n = self._check(n)
-        s = _ray_dist(self._loglam, self._theta)
-        return np.full(np.shape(n), s) if np.ndim(n) else s
+        return self._kernel.pair_dist(np.zeros_like(n), n)
 
     def slope_angle(self, n):
-        # arg(1 - z_n) = -arg(w_n + 1) = -arg(e^{i theta} + e^{-L})
-        n = self._check(n)
-        L = self._logw(n)
-        u = np.exp(-L)
-        out = -np.arctan2(math.sin(self._theta), math.cos(self._theta) + u)
-        return out if np.ndim(n) else float(out)
-
-
-class _TranslationOrbit(OrbitRecord):
-    """Charted orbit with w_n = w0 + n (slit plane or upper half-plane image)."""
-
-    def __init__(self, map_, z0, n_max):
-        super().__init__(map_, z0, n_max)
-        self._w0 = complex(map_.chart.forward(self.z0))
-        self._upper = map_.variant == "parab-aut"
-
-    def koenigs(self, n):
-        n = self._check(n)
-        return self._w0 + n
-
-    def _s(self, n):
-        # For the slit chart, s = principal sqrt(w + 1) lives in the right
-        # half-plane and z = (s-1)/(s+1).
-        return np.sqrt(np.asarray(self._w0 + n, dtype=complex) + 1.0)
-
-    def disc_point(self, n):
-        n = self._check(n)
-        if self._upper:
-            z = _cayley_upper_inv(self._w0 + n.astype(complex))
-        else:
-            z = _cayley_right_inv(self._s(n))
-        z = np.where(n == 0, self.z0, z)  # f^0 is the identity, exactly
-        sat = is_boundary_saturated(z)
-        return (z, sat) if np.ndim(n) else (complex(z), bool(sat))
-
-    def log_one_minus_mod_sq(self, n):
-        n = self._check(n)
-        if self._upper:
-            w = self._w0 + n.astype(complex)
-            return np.log(4.0 * np.imag(w)) - 2.0 * np.log(np.abs(w + 1j))
-        s = self._s(n)
-        return np.log(4.0 * np.real(s)) - 2.0 * np.log(np.abs(s + 1.0))
-
-    def log_dist_to_tau(self, n):
-        n = self._check(n)
-        if self._upper:
-            return math.log(2.0) - np.log(np.abs(self._w0 + n.astype(complex) + 1j))
-        return math.log(2.0) - np.log(np.abs(self._s(n) + 1.0))
-
-    def _pair_dist_upper(self, n, m):
-        return _upper_offset_dist(self._w0.imag, np.abs(m - n).astype(float))
-
-    def pair_dist(self, n, m):
-        n, m = self._check(n), self._check(m)
-        if self._upper:
-            return self._pair_dist_upper(n, m)
-        if self._w0.imag == 0.0:
-            # Real orbits ride the real geodesic of the slit plane.
-            a = self._w0.real + np.asarray(n, dtype=float)
-            b = self._w0.real + np.asarray(m, dtype=float)
-            out = 0.25 * np.abs(np.log1p(b) - np.log1p(a))
-            return out if np.ndim(out) else float(out)
-        return dist_disk(_cayley_right_inv(self._s(n)), _cayley_right_inv(self._s(m)))
-
-    def dist_from_start(self, n):
-        return self.pair_dist(np.zeros_like(self._check(n)), n) if np.ndim(n) \
-            else self.pair_dist(0, n)
-
-    def step(self, n):
-        n = self._check(n)
-        return self.pair_dist(n, n + 1)
-
-    def slope_angle(self, n):
-        n = self._check(n)
-        if self._upper:
-            u = 2j / (self._w0 + n.astype(complex) + 1j)  # 1 - z_n
-        else:
-            u = 2.0 / (self._s(n) + 1.0)
-        out = np.angle(u)
-        return out if np.ndim(n) else float(out)
+        return self._kernel.slope_angle(self._check(n))
 
 
 class _BlackBoxOrbit(OrbitRecord):
@@ -512,127 +548,19 @@ class _BlackBoxOrbit(OrbitRecord):
     def dist_from_start(self, n):
         return dist_disk(self.z0, self._points(n))
 
-    def step(self, n):
-        n = self._check(n)
-        return self.pair_dist(n, n + 1)
-
     def slope_angle(self, n):
         z = np.asarray(self._points(n), dtype=complex)
         u = 1.0 - np.conj(self.tau) * z
-        out = np.angle(u)
-        return out if np.ndim(n) else float(out)
+        return _unwrap(np.angle(u))
 
 
 def iterate(f: ModelMap, z, n):
     """Orbit record for f^0(z), ..., f^n(z).
 
-    Charted variants compute in chart coordinates (cap 1e7); black-box
-    variants compose directly (cap 1e6) and flag boundary saturation instead
-    of clipping.
+    Maps with a kernel compute in chart coordinates (cap 1e7); the others
+    compose directly (cap 1e6) and flag boundary saturation instead of
+    clipping.
     """
-    if f.variant == "hyp-aut":
-        return _HyperbolicOrbit(f, z, n)
-    if f.variant in ("parab-aut", "koebe"):
-        return _TranslationOrbit(f, z, n)
-    return _BlackBoxOrbit(f, z, n)
-
-
-# ---------------------------------------------------------------------------
-# Numeric diagnostics
-# ---------------------------------------------------------------------------
-
-# Heuristic threshold: a step below this value at n = 1e5 is called zero-step.
-STEP_ZERO_THRESHOLD = 1e-4
-JULIA_PARABOLIC_BAND = 1e-3
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    declared_type: str  # None for black-box maps without a declared chart type
-    inferred_type: str
-    step_estimate: float
-    step_tag: str  # positive-step | zero-step
-    f_prime_tau_estimate: float
-    slope_flag: str  # non-tangential | tangential | inconclusive
-    mismatch: bool
-
-    def to_dict(self):
-        return {
-            "declared_type": self.declared_type,
-            "inferred_type": self.inferred_type,
-            "step_estimate": self.step_estimate,
-            "step_tag": self.step_tag,
-            "f_prime_tau_estimate": self.f_prime_tau_estimate,
-            "slope_flag": self.slope_flag,
-            "mismatch": self.mismatch,
-        }
-
-
-def classify_numeric(f: ModelMap, z0, n_max=10 ** 5):
-    """Diagnostics from one orbit: step limit, Julia quotient, slope flag.
-
-    These are heuristics; a mismatch against the declared type is reported,
-    never raised, and a declared type is never overridden.
-    """
-    from . import slope as slope_mod  # local import to avoid a cycle
-
-    n_max = min(int(n_max), f.n_cap - 1)
-    orbit = iterate(f, z0, n_max + 1)
-    grid = geometric_grid(n_max)
-
-    steps = orbit.step(grid)
-    step_estimate = float(steps[-1])
-    step_tag = "zero-step" if step_estimate < STEP_ZERO_THRESHOLD else "positive-step"
-
-    jq = np.exp(orbit.log_julia_quotient(grid))
-    fprime_est = float(np.median(jq[-5:]) if jq.size >= 5 else jq[-1])
-
-    thetas = orbit.slope_angle(grid)
-    cluster = slope_mod.cluster_estimate(thetas)
-    slope_flag = slope_mod.tangentiality_verdict(cluster)
-
-    if fprime_est < 1.0 - JULIA_PARABOLIC_BAND:
-        inferred = HYPERBOLIC
-    elif step_tag == "zero-step":
-        inferred = ZERO_PARABOLIC
-    else:
-        inferred = POSITIVE_PARABOLIC
-
-    declared = orbit.declared_type
-    mismatch = declared is not None and inferred != declared
-    return ClassificationReport(declared, inferred, step_estimate, step_tag,
-                                fprime_est, slope_flag, mismatch)
-
-
-@dataclass(frozen=True)
-class DenjoyWolffEstimate:
-    angle: float
-    error_estimate: float
-    converged: bool
-
-    def to_dict(self):
-        return {"angle": self.angle, "error_estimate": self.error_estimate,
-                "converged": self.converged}
-
-
-def denjoy_wolff_estimate(f: ModelMap, z0, n_max=None):
-    """Limiting boundary angle of the orbit, with a stabilization error bound."""
-    if n_max is None:
-        n_max = f.n_cap
-    n_max = min(int(n_max), f.n_cap)
-    orbit = iterate(f, z0, n_max)
-
-    def angle_at(n):
-        # z_n = tau * (1 - u_n) with u_n = 1 - conj(tau) z_n; arg through u is
-        # stable arbitrarily close to the boundary.
-        theta = orbit.slope_angle(n)
-        r = float(orbit.dist_to_tau(n))
-        u = r * cmath.exp(1j * theta)
-        return math.atan2(f.tau.value.imag, f.tau.value.real) + cmath.phase(1.0 - u), r
-
-    a_full, r_full = angle_at(n_max)
-    a_half, _ = angle_at(max(1, n_max // 2))
-    err = abs(a_full - a_half) + r_full
-    return DenjoyWolffEstimate(angle=a_full % (2.0 * math.pi),
-                               error_estimate=err,
-                               converged=bool(err < 1e-3))
+    if f.kernel is None:
+        return _BlackBoxOrbit(f, z, n)
+    return _ChartedOrbit(f, z, n)

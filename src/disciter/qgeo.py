@@ -29,6 +29,20 @@ B_MAX_DEFAULT = 1000.0
 SLACK = 1e-9
 
 
+def _geometric_pairs(last):
+    """Index pairs geometric in n and in m - n, plus (n, last), for n < last."""
+    out = set()
+    n = 0
+    while n < last:
+        gap = 1
+        while n + gap <= last:
+            out.add((n, n + gap))
+            gap *= 2
+        out.add((n, last))
+        n = 1 if n == 0 else n * 2
+    return sorted(out)
+
+
 @dataclass(frozen=True)
 class PairPolicy:
     """Which (n, m) pairs to test: geometric in n and in m - n, plus (n, m_max)."""
@@ -36,16 +50,7 @@ class PairPolicy:
     m_max: int = 10 ** 4
 
     def pairs(self):
-        out = set()
-        n = 0
-        while n < self.m_max:
-            gap = 1
-            while n + gap <= self.m_max:
-                out.add((n, n + gap))
-                gap *= 2
-            out.add((n, self.m_max))
-            n = 1 if n == 0 else n * 2
-        return sorted(out)
+        return _geometric_pairs(self.m_max)
 
 
 @dataclass(frozen=True)
@@ -90,23 +95,22 @@ def _search_box(sums, dists, a_grid, b_max, slack):
     return None
 
 
-def _certify(pairs_nm, sums, dists, a_grid, b_max, slack, excluded, notes=""):
+def _certify(labels, sums, dists, a_grid, b_max, slack, excluded, notes=""):
+    """Certificate over the pairs labelled by `labels` (index or parameter pairs)."""
     # Triangle inequality must hold pairwise regardless of the verdict.
     worst = float(np.max(dists - sums))
     if worst > 1e-6:
         raise InvalidPointError(
             f"step sums violate the triangle inequality by {worst:g}")
     ratios = (sums - b_max) / np.where(dists > 0, dists, np.nan)
-    rows = [(int(n), int(m), float(s), float(d), float(r))
-            for (n, m), s, d, r in zip(pairs_nm, sums, dists, ratios)]
+    rows = [(n, m, float(s), float(d), float(r))
+            for (n, m), s, d, r in zip(labels, sums, dists, ratios)]
     found = _search_box(sums, dists, a_grid, b_max, slack)
     if found is not None:
         return QgCertificate("certified", found[0], found[1], float(a_grid[-1]),
                              float(b_max), rows, None, excluded, notes)
     viol = sums - float(a_grid[-1]) * dists - b_max
-    k = int(np.argmax(viol))
-    witness = (int(pairs_nm[k][0]), int(pairs_nm[k][1]), float(sums[k]),
-               float(dists[k]), float(ratios[k]))
+    witness = rows[int(np.argmax(viol))]
     return QgCertificate("refuted", math.nan, math.nan, float(a_grid[-1]),
                          float(b_max), rows, witness, excluded, notes)
 
@@ -125,7 +129,7 @@ def discrete_qg_fit(orbit: OrbitRecord, policy: PairPolicy = None,
         raise InvalidPointError("orbit too short for the pair policy")
     prefix = orbit.steps_prefix(policy.m_max)
 
-    if orbit.map.charted:
+    if orbit.map.kernel is not None:
         ok_idx = np.ones(len(pairs), dtype=bool)
     else:
         _, sat = orbit.disc_point(np.arange(policy.m_max + 1, dtype=np.int64))
@@ -144,27 +148,8 @@ def discrete_qg_fit(orbit: OrbitRecord, policy: PairPolicy = None,
     return _certify(kept, sums, dists, a_grid, b_max, slack, excluded)
 
 
-def audit_certificate(orbit: OrbitRecord, cert: QgCertificate, n_pairs=1000,
-                      seed=0, slack=1e-6):
-    """Soundness resample: the certified inequality on fresh random pairs."""
-    if cert.verdict != "certified":
-        raise InvalidPointError("can only audit a certified result")
-    m_max = max(m for _, m, _, _, _ in cert.pairs)
-    rng = np.random.default_rng(seed)
-    ns = rng.integers(0, m_max, size=n_pairs)
-    ms = ns + 1 + rng.integers(0, m_max, size=n_pairs)
-    ms = np.minimum(ms, m_max)
-    good = ms > ns
-    ns, ms = ns[good], ms[good]
-    prefix = orbit.steps_prefix(int(m_max))
-    sums = prefix[ms] - prefix[ns]
-    dists = np.asarray(orbit.pair_dist(ns, ms), dtype=float)
-    worst = float(np.max(sums - cert.a * dists - cert.b))
-    return worst <= slack, worst
-
-
 def curve_qg_check(ts, points, metric="disc", a_grid=A_GRID_DEFAULT,
-                   b_max=B_MAX_DEFAULT, slack=SLACK, n_probes=24):
+                   b_max=B_MAX_DEFAULT, slack=SLACK):
     """Certificate for a sampled curve: polyline length against distance.
 
     `ts` must be strictly increasing; `points` are the curve samples inside
@@ -175,6 +160,8 @@ def curve_qg_check(ts, points, metric="disc", a_grid=A_GRID_DEFAULT,
     pts = np.asarray(points, dtype=complex)
     if ts.size != pts.size:
         raise InvalidPointError("ts/points length mismatch")
+    if ts.size < 2:
+        raise InvalidPointError("curve_qg_check needs at least two samples")
     if np.any(np.diff(ts) <= 0):
         raise InvalidPointError("curve parameters must be strictly increasing")
     if metric != "disc":
@@ -185,21 +172,7 @@ def curve_qg_check(ts, points, metric="disc", a_grid=A_GRID_DEFAULT,
     chunk = 0.5 * (lam[:-1] + lam[1:]) * seg
     prefix = np.concatenate([[0.0], np.cumsum(chunk)])
 
-    last = ts.size - 1
-    idx = {0, last}
-    k = 1
-    while k < last:
-        idx.add(k)
-        k *= 2
-    pairs = set()
-    for i in sorted(idx):
-        gap = 1
-        while i + gap <= last:
-            pairs.add((i, i + gap))
-            gap *= 2
-        pairs.add((i, last))
-    pairs = sorted(pairs)
-
+    pairs = _geometric_pairs(ts.size - 1)
     ii = np.array([p[0] for p in pairs])
     jj = np.array([p[1] for p in pairs])
     sums = prefix[jj] - prefix[ii]
@@ -207,14 +180,5 @@ def curve_qg_check(ts, points, metric="disc", a_grid=A_GRID_DEFAULT,
     # Quadrature may undershoot the true arc length a hair below chord
     # distance on short spans; clamp the triangle check at quadrature scale.
     sums = np.maximum(sums, dists)
-    labeled = [(float(ts[i]), float(ts[j]), float(s), float(d), float(r)) for (i, j), s, d, r in
-               zip(pairs, sums, dists, (sums - b_max) / np.where(dists > 0, dists, np.nan))]
-    found = _search_box(sums, dists, a_grid, b_max, slack)
-    if found is not None:
-        return QgCertificate("certified", found[0], found[1], float(a_grid[-1]),
-                             float(b_max), labeled, None, 0.0)
-    viol = sums - float(a_grid[-1]) * dists - b_max
-    k = int(np.argmax(viol))
-    witness = labeled[k]
-    return QgCertificate("refuted", math.nan, math.nan, float(a_grid[-1]),
-                         float(b_max), labeled, witness, 0.0)
+    labels = [(float(ts[i]), float(ts[j])) for i, j in pairs]
+    return _certify(labels, sums, dists, a_grid, b_max, slack, 0.0)

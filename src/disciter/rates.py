@@ -37,6 +37,15 @@ def _check_grid(n_grid):
     return ns
 
 
+def _available(orbit, ns):
+    """Grid points with usable data: all of them for kernel (chart) orbits,
+    the unsaturated ones for orbits by composition."""
+    if orbit.map.kernel is not None:
+        return np.ones(ns.shape, dtype=bool)
+    _, sat = orbit.disc_point(ns)
+    return ~np.asarray(sat)
+
+
 @dataclass(frozen=True)
 class DivergenceResult:
     ns: np.ndarray
@@ -61,11 +70,7 @@ def divergence_series(f, z, n_grid, epsilon=0.5):
     """
     ns = _check_grid(n_grid)
     orbit = _as_orbit(f, z, int(ns[-1]))
-    if orbit.map.charted:
-        available = np.ones(ns.shape, dtype=bool)
-    else:
-        _, sat = orbit.disc_point(ns)
-        available = ~np.asarray(sat)
+    available = _available(orbit, ns)
     d = np.full(ns.shape, np.nan)
     d[available] = orbit.dist_from_start(ns[available])
 
@@ -105,11 +110,7 @@ def euclidean_series(f, z, n_grid, non_tangential=False, fit_tol=0.02):
     """
     ns = _check_grid(n_grid)
     orbit = _as_orbit(f, z, int(ns[-1]))
-    if orbit.map.charted:
-        available = np.ones(ns.shape, dtype=bool)
-    else:
-        _, sat = orbit.disc_point(ns)
-        available = ~np.asarray(sat)
+    available = _available(orbit, ns)
     omm = np.full(ns.shape, np.nan)
     gap = np.full(ns.shape, np.nan)
     omm[available] = orbit.one_minus_mod(ns[available])
@@ -265,7 +266,7 @@ def rate_report(f: ModelMap, z, n_grid=None, epsilon=0.5, lower_eps=0.9,
     ns = _check_grid(n_grid)
     orbit = iterate(f, z, int(ns[-1]) + 1)
     if non_tangential is None:
-        non_tangential = f.variant in ("hyp-aut", "koebe", "quad")
+        non_tangential = f.non_tangential
     div = divergence_series(orbit, z, ns, epsilon=epsilon)
     euc = euclidean_series(orbit, z, ns, non_tangential=non_tangential)
     stp = step_series(orbit, z, ns)

@@ -3,16 +3,17 @@
 For a charted, univalent model whose chart image is starlike at infinity, the
 family phi_t(z) = h^{-1}(h(z) + t) is a semigroup on the whole disc that
 interpolates the iteration: phi_n = f^n.  The supported models are exactly the
-three charted zoo members (unit-translation charts and the scaling chart); the
-non-univalent quadratic map is rejected loudly by design, since a fundamental
-subdomain for it is not constructed here.  The entry-time field n0 is always 0
-for supported models and is carried for forward compatibility.
+zoo members with a chart kernel (unit-translation charts and the scaling
+chart); the non-univalent quadratic map is rejected loudly by design, since a
+fundamental subdomain for it is not constructed here.  A trajectory evaluates
+its boundary gap and slope angle with the same kernel that maps.iterate
+samples at integer times, so both agree with the orbit bit for bit at t = n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,15 +22,21 @@ from .hypgeo import dist_disk, require_in_disk
 from .maps import ModelMap, eval_map, iterate
 from .util import TOL_CLOSED_FORM
 
-_SUPPORTED = ("hyp-aut", "parab-aut", "koebe")
-
 
 @dataclass(frozen=True)
 class Trajectory:
     map: ModelMap
     z0: complex
     w0: complex        # chart coordinate of z0
-    n0: int = 0        # entry time into the flow domain; 0 for supported models
+    _kernel: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_kernel", self.map.kernel(self.z0))
+
+    @property
+    def horizon(self):
+        """Default time horizon, below where the disc point saturates doubles."""
+        return self._kernel.horizon
 
     def point(self, t):
         """phi_t(z0), vectorized over t >= 0."""
@@ -43,43 +50,18 @@ class Trajectory:
     def koenigs(self, t):
         return self.w0 + np.asarray(t, dtype=float)
 
-    def _scaled_log_w(self, t):
-        # For the scaling chart the flow point is w = exp(loglam*(w0 + t));
-        # return (log|w|, arg w) so nothing overflows along the way.
-        loglam = math.log(self.map.params[0])
-        return loglam * (self.w0.real + np.asarray(t, dtype=float)), loglam * self.w0.imag
-
     def boundary_gap(self, t):
         """|phi_t(z0) - tau| without forming the disc point (log-scale safe)."""
-        t = np.asarray(t, dtype=float)
-        if self.map.variant == "hyp-aut":
-            big_l, theta = self._scaled_log_w(t)
-            u = np.exp(-big_l)
-            log_abs_wp1 = big_l + 0.5 * np.log1p(u * (2.0 * math.cos(theta) + u))
-            return 2.0 * np.exp(-log_abs_wp1)
-        if self.map.variant == "parab-aut":
-            return 2.0 / np.abs(self.w0 + t + 1j)
-        s = np.sqrt(np.asarray(self.w0 + t, dtype=complex) + 1.0)
-        return 2.0 / np.abs(s + 1.0)
+        return np.exp(self._kernel.log_gap(t))
 
     def slope_angle(self, t):
         """arg(1 - conj(tau) phi_t(z0)) in a cancellation-free form."""
-        t = np.asarray(t, dtype=float)
-        if self.map.variant == "hyp-aut":
-            big_l, theta = self._scaled_log_w(t)
-            out = -np.arctan2(math.sin(theta), math.cos(theta) + np.exp(-big_l))
-            return out if t.ndim else float(out)
-        if self.map.variant == "parab-aut":
-            u = 2j / (self.w0 + t + 1j)
-        else:
-            u = 2.0 / (np.sqrt(np.asarray(self.w0 + t, dtype=complex) + 1.0) + 1.0)
-        out = np.angle(u)
-        return out if t.ndim else float(out)
+        return self._kernel.slope_angle(t)
 
 
 def make_trajectory(f: ModelMap, z):
     """Trajectory through z; rejects unsupported (non-univalent/uncharted) maps."""
-    if f.variant not in _SUPPORTED or not (f.charted and f.univalent and f.omega_starlike):
+    if f.kernel is None or not (f.univalent and f.omega_starlike):
         raise UnsupportedModelError(
             f"{f.name}: trajectories need a univalent chart with image starlike "
             "at infinity (quad is rejected by design)")

@@ -33,8 +33,8 @@ def slope_series(points, tau):
     """Angles arg(1 - conj(tau) z_n) for an explicit point sequence.
 
     Points numerically equal to tau give an undefined angle: the entry is NaN
-    and its index is reported.  When chart data is available prefer
-    orbit_slope_series, which forms 1 - conj(tau) z without cancellation.
+    and its index is reported.  For orbits prefer OrbitRecord.slope_angle,
+    which forms 1 - conj(tau) z without cancellation when charted.
     """
     tau = as_complex(tau)
     pts = np.asarray([as_complex(p) for p in points], dtype=complex)
@@ -42,12 +42,6 @@ def slope_series(points, tau):
     undefined = u == 0.0
     thetas = np.where(undefined, np.nan, np.angle(np.where(undefined, 1.0, u)))
     return thetas, np.nonzero(undefined)[0]
-
-
-def orbit_slope_series(orbit: OrbitRecord, n_grid):
-    """Slope angles along an orbit, computed in chart coordinates when charted."""
-    ns = np.asarray(n_grid, dtype=np.int64)
-    return orbit.slope_angle(ns)
 
 
 @dataclass(frozen=True)

@@ -7,16 +7,13 @@ deterministic CSV/JSON/SVG writers used by the CLI.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Default absolute tolerances.  Closed-form identities are expected to hold to
-# TOL_CLOSED_FORM; quadrature-backed values only to TOL_QUADRATURE.  Both can be
-# overridden per call site (the CLI exposes them in the [tolerances] section).
+# Default absolute tolerance of closed-form identities; overridable per call
+# site (the CLI exposes it as [tolerances] closed_form).
 TOL_CLOSED_FORM = 1e-12
-TOL_QUADRATURE = 1e-9
 
 # Below this value of 1 - |z| a materialized disc point is treated as
 # indistinguishable from the boundary at double precision.
@@ -41,18 +38,6 @@ def geometric_grid(n_max, dense_upto=32):
         k += 1
     vals.add(int(n_max))
     return np.array(sorted(vals), dtype=np.int64)
-
-
-def geometric_t_grid(t_max, per_octave=4, t_min=1.0):
-    """Geometric float grid t_min * 2**(k/per_octave) up to t_max, t_max included."""
-    if t_max <= t_min:
-        return np.array([float(t_max)])
-    k_max = int(math.ceil(per_octave * math.log2(t_max / t_min)))
-    ts = t_min * 2.0 ** (np.arange(k_max + 1) / per_octave)
-    ts = ts[ts <= t_max]
-    if ts[-1] < t_max:
-        ts = np.append(ts, t_max)
-    return ts
 
 
 def bisect_root(fn, lo, hi, tol=1e-12, max_iter=200):

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import disciter
 from disciter.cli import load_config, main
 from disciter.errors import ConfigError
 
@@ -56,14 +59,20 @@ class TestSubcommands:
         assert values == [0.0, 0.5, 0.625, 0.6953125]
 
     def test_rate_csv_koebe_column(self, tmp_path):
-        cfg = _write(tmp_path, BASIC)
-        out = tmp_path / "out"
-        assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
-        rows = (out / "rate.csv").read_text().strip().splitlines()
-        header = rows[0].split(",")
-        assert header == ["n", "d", "one_minus_mod", "dist_to_tau", "step"]
-        n, d = rows[-1].split(",")[:2]
-        assert float(d) == pytest.approx(0.25 * math.log(float(n) + 1.0), abs=1e-12)
+        # koebe converges non-tangentially, so its default bound is -1/2;
+        # [rate] non_tangential = false asks for the general -1/4
+        for extra, bound in (("", -0.5), ("[rate]\nnon_tangential = false\n", -0.25)):
+            cfg = _write(tmp_path, BASIC + extra)
+            out = tmp_path / f"out{bound}"
+            assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+            rows = (out / "rate.csv").read_text().strip().splitlines()
+            header = rows[0].split(",")
+            assert header == ["n", "d", "one_minus_mod", "dist_to_tau", "step"]
+            n, d = rows[-1].split(",")[:2]
+            assert float(d) == pytest.approx(0.25 * math.log(float(n) + 1.0), abs=1e-12)
+            assert main(["rate", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+            payload = json.loads((out / "rate.json").read_text())
+            assert payload["euclidean"]["exponent_bound"] == bound
 
     def test_empty_grid_is_usage_error(self, tmp_path):
         cfg = _write(tmp_path, "[map]\nname = koebe\n[grid]\nn_max = 0\n")
@@ -175,3 +184,12 @@ class TestAccept:
         payload = json.loads((out / "acceptance.json").read_text())
         assert payload["schema"] == "disciter/acceptance/v1"
         assert len(payload["results"]) == 11
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_out(self):
+        code = "import sys, disciter.cli; print('scipy' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(disciter.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"

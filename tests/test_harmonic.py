@@ -6,9 +6,8 @@ import pytest
 from disciter import harmonic
 from disciter.errors import InvalidPointError
 from disciter.harmonic import (SlitDiskDomain, arc_diameter,
-                               arc_measure_from_diameter, hm_disk_arc,
-                               hm_halfplane_interval, hm_wos, tail_hm_series,
-                               tail_slit)
+                               arc_measure_from_diameter, hm_disk_arc, hm_wos,
+                               tail_hm_series, tail_slit)
 from disciter.maps import koebe_shift, iterate
 
 WALKS = 2 * 10 ** 4  # module tests trade walks for speed; acceptance uses 1e5
@@ -41,19 +40,36 @@ class TestQuadrature:
 
     def test_subordination_on_cayley(self):
         # disc arc <-> real interval under the upper Cayley chart; Moebius
-        # equality of harmonic measures, quadrature vs closed form
+        # equality of harmonic measures.  The measure of [a, b] seen from w in
+        # the upper half-plane is the subtended angle over pi.
         z = 0.2 + 0.1j
         t1, t2 = 2.0, 2.8  # arc away from the boundary point 1
         w = 1j * (1 + z) / (1 - z)
         a = complex(1j * (1 + np.exp(1j * t2)) / (1 - np.exp(1j * t2))).real
         b = complex(1j * (1 + np.exp(1j * t1)) / (1 - np.exp(1j * t1))).real
         lo, hi = min(a, b), max(a, b)
-        assert hm_disk_arc(z, t1, t2).value == pytest.approx(
-            hm_halfplane_interval(w, lo, hi), abs=1e-9)
+        subtended = float(np.angle((hi - w) / (lo - w))) / math.pi
+        assert hm_disk_arc(z, t1, t2).value == pytest.approx(subtended, abs=1e-9)
 
     def test_bad_interval_rejected(self):
         with pytest.raises(InvalidPointError):
             hm_disk_arc(0.0, 1.0, 0.5)
+
+    def test_matches_simpson_poisson_integral(self):
+        # composite Simpson on the Poisson kernel as an independent oracle
+        def simpson(z, t1, t2, intervals=1 << 14):
+            th = np.linspace(t1, t2, intervals + 1)
+            f = (1.0 - abs(z) ** 2) / np.abs(np.exp(1j * th) - z) ** 2 / (2.0 * math.pi)
+            h = (t2 - t1) / intervals
+            return h / 3.0 * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum() + 2.0 * f[2:-1:2].sum())
+
+        rng = np.random.default_rng(11)
+        spreads = np.concatenate([[0.0, 2.0 * math.pi], rng.uniform(0.0, 2.0 * math.pi, 60)])
+        for spread in spreads:
+            z = 0.9 * math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random())
+            t1 = rng.uniform(-math.pi, math.pi)
+            got = hm_disk_arc(z, t1, t1 + spread).value
+            assert got == pytest.approx(simpson(z, t1, t1 + spread), abs=1e-9), (z, t1, spread)
 
 
 class TestSlitDomain:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from disciter import hypgeo
 from disciter.domains import RIGHT_HALF_PLANE, SLIT_PLANE_K, dist_domain
 from disciter.errors import InvalidPointError
-from disciter.hypgeo import (BoundaryPoint, DiskPoint, HalfPlaneSector, Horodisc,
-                             StolzAngle, curve_length, dist_disk, dist_halfplane,
+from disciter.hypgeo import (BoundaryPoint, DiskPoint, HalfPlaneSector, StolzAngle,
+                             curve_length, dist_disk, dist_halfplane,
                              distance_lemma_bounds, euclid_rate_bracket,
                              julia_check, metric_disk, sector_halfplane_contains,
                              stolz_contains)
@@ -150,15 +150,6 @@ class TestRegions:
     def test_stolz_aperture_validated(self):
         with pytest.raises(InvalidPointError):
             StolzAngle(BoundaryPoint(0.0), 1.0)
-
-    def test_horodisc_geometry(self):
-        h = Horodisc(BoundaryPoint(0.0), 1.0)
-        assert h.radius == pytest.approx(0.5)
-        assert h.center == pytest.approx(0.5)
-        # leftmost point z = 1 - 2r gives boundary quotient exactly the level
-        z = 1.0 - 2.0 * h.radius + 1e-12
-        q = abs(1.0 - z) ** 2 / (1.0 - z * z)
-        assert q == pytest.approx(1.0, rel=1e-9)
 
     def test_sector_aperture_closed_form(self):
         # independent oracle: d(1, e^{i b}) = atanh(tan(b/2)), so b = 2 atan(tanh R)

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from disciter import qgeo
 from disciter.errors import InvalidPointError
 from disciter.maps import (hyperbolic_automorphism, iterate, koebe_shift,
                            parabolic_automorphism, quadratic_parabolic)
@@ -66,10 +65,16 @@ class TestDiscrete:
             assert (cert.verdict == "certified") == (verdict == "non-tangential"), f.name
 
     def test_audit_certified(self):
-        orbit = _orbit(koebe_shift())
+        # soundness resample: the certified inequality on fresh random pairs
+        m_max = 10 ** 4
+        orbit = _orbit(koebe_shift(), m_max)
         cert = discrete_qg_fit(orbit)
-        ok, worst = qgeo.audit_certificate(orbit, cert, n_pairs=1000, seed=1)
-        assert ok, worst
+        rng = np.random.default_rng(1)
+        ns = rng.integers(0, m_max, size=1000)
+        ms = np.minimum(ns + 1 + rng.integers(0, m_max, size=1000), m_max)
+        prefix = orbit.steps_prefix(m_max)
+        worst = np.max(prefix[ms] - prefix[ns] - cert.a * orbit.pair_dist(ns, ms) - cert.b)
+        assert worst <= 1e-6, worst
 
     def test_triangle_inequality_per_pair(self):
         cert = discrete_qg_fit(_orbit(koebe_shift()))
@@ -112,3 +117,7 @@ class TestCurve:
     def test_non_monotone_parameters_rejected(self):
         with pytest.raises(InvalidPointError):
             curve_qg_check([0.0, 2.0, 1.0], [0.0, 0.1, 0.2])
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(InvalidPointError):
+            curve_qg_check([0.0], [0.1])

@@ -122,6 +122,8 @@ class TestLanding:
 
 class TestSlopeAgreement:
     def test_trajectory_slope_equals_orbit_slope(self):
+        # orbits and trajectories share one chart kernel, so the slope angle
+        # and the boundary gap agree bit for bit at t = n
         from disciter.slope import cluster_estimate
         from disciter.util import geometric_grid
         grid = geometric_grid(10 ** 6)
@@ -129,9 +131,15 @@ class TestSlopeAgreement:
                   (hyperbolic_automorphism(2.0),
                    complex((cmath.exp(0.9j) - 1) / (cmath.exp(0.9j) + 1))),
                   (parabolic_automorphism(), 0.05j)]
+        starts += [(f, z0) for f in (koebe_shift(), hyperbolic_automorphism(2.0),
+                                     parabolic_automorphism())
+                   for z0 in (0.0, 0.3 + 0.2j)]
         for f, z0 in starts:
             orbit = iterate(f, z0, int(grid[-1]))
             traj = make_trajectory(f, z0)
+            ts = grid.astype(float)
+            assert np.array_equal(traj.slope_angle(ts), orbit.slope_angle(grid)), (f.name, z0)
+            assert np.array_equal(traj.boundary_gap(ts), orbit.dist_to_tau(grid)), (f.name, z0)
             mid_orbit = cluster_estimate(orbit.slope_angle(grid)).midpoint
-            mid_traj = cluster_estimate(traj.slope_angle(grid.astype(float))).midpoint
+            mid_traj = cluster_estimate(traj.slope_angle(ts)).midpoint
             assert abs(mid_orbit - mid_traj) < 1e-3, f.name

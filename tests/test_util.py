@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from disciter.util import (bisect_root, format_value, geometric_grid,
-                           geometric_t_grid, json_dumps, linear_fit,
-                           sample_disk, tail_fit_mask, write_csv,
-                           write_svg_series)
+                           json_dumps, linear_fit, sample_disk, tail_fit_mask,
+                           write_csv, write_svg_series)
 
 
 class TestGrids:
@@ -26,11 +25,6 @@ class TestGrids:
     def test_invalid_n_max(self):
         with pytest.raises(ValueError):
             geometric_grid(0)
-
-    def test_t_grid(self):
-        ts = geometric_t_grid(1000.0)
-        assert ts[0] == 1.0 and ts[-1] == 1000.0
-        assert np.all(np.diff(ts) > 0)
 
 
 class TestFits:
