@@ -12,10 +12,11 @@ Subpackages by role:
 - qgeo:     discrete/continuous quasi-geodesic certification
 - harmonic: closed-form arc measure and walk-on-spheres harmonic measure
 - opnorm:   composition-operator norm bounds
-- cli:      command-line front end and the acceptance suite driver
+- cli:      command-line front end and the acceptance suite driver (not
+            imported here, so `python -m disciter.cli` runs it only once)
 """
 
-from . import acceptance, cli, domains, harmonic, hypgeo, maps, opnorm, qgeo, rates, semiflow, slope
+from . import acceptance, domains, harmonic, hypgeo, maps, opnorm, qgeo, rates, semiflow, slope
 from .errors import ConfigError, InvalidPointError, UnsupportedModelError
 
 __all__ = [

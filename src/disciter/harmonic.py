@@ -7,8 +7,8 @@ absorb within eps of the boundary, classify by the nearest boundary part.
 Estimates are unbiased up to O(eps) boundary-classification error.
 
 Randomness comes from the counter-based Philox generator; walks are split
-into fixed-size chunks with independently derived substreams, so chunk-level
-parallel execution would reproduce the serial estimate bit for bit.
+into fixed-size chunks with independently derived substreams, so a chunk's
+walks depend only on the seed and the chunk index.
 """
 
 from __future__ import annotations
@@ -175,39 +175,46 @@ class SlitDiskDomain:
 
 
 def _wos_run(domain: SlitDiskDomain, z, n_walks, eps, cap, seed, chunk=WOS_CHUNK):
-    """Run walks; returns (kind, endpoint, steps) with kind 0=circle, 1=slit, -1=discard."""
+    """Run walks; returns (kind, endpoint, steps) with kind 0=circle, 1=slit, -1=discard.
+
+    Walks run in chunks of `chunk`; chunk c draws from the Philox substream
+    spawned c-th from `seed`, so a chunk's walks depend only on the seed and
+    the chunk index.  Within a chunk only the live walks are kept: their
+    positions and global indices, in walk order, shrunk when walks are
+    absorbed.  Each step draws rng.random(number of live walks) in walk order
+    and moves p to p + rho * exp(2j pi u), so the draws a walk gets depend
+    only on which walks of its chunk are still live, never on how they are
+    stored.  An empty slit has rho = 1 - |p| and absorbs on the circle
+    (kind 0).
+    """
     z = complex(z)
     kinds = np.full(n_walks, -1, dtype=np.int64)
     finals = np.zeros(n_walks, dtype=complex)
     steps = np.zeros(n_walks, dtype=np.int64)
     seeds = np.random.SeedSequence(seed).spawn(math.ceil(n_walks / chunk))
     for ci, child in enumerate(seeds):
-        lo, hi = ci * chunk, min((ci + 1) * chunk, n_walks)
-        m = hi - lo
         rng = np.random.Generator(np.random.Philox(child))
-        pos = np.full(m, z, dtype=complex)
-        alive = np.arange(m)
+        idx = np.arange(ci * chunk, min((ci + 1) * chunk, n_walks))
+        p = np.full(idx.size, z, dtype=complex)
         for it in range(cap):
-            if alive.size == 0:
-                break
-            p = pos[alive]
-            d_circ = 1.0 - np.abs(p)
-            d_slit = domain.distance(p)
-            rho = np.minimum(d_circ, d_slit)
+            rho = 1.0 - np.abs(p)
+            if not domain.empty:
+                d_slit = domain.distance(p)
+                on_slit = d_slit < rho
+                rho = np.minimum(rho, d_slit)
             hit = rho < eps
             if np.any(hit):
-                idx = alive[hit]
-                kinds[lo + idx] = (d_slit[hit] < d_circ[hit]).astype(np.int64)
-                finals[lo + idx] = p[hit]
-                steps[lo + idx] = it
-            keep = ~hit
-            if not np.any(keep):
-                alive = alive[:0]
-                break
-            u = rng.random(int(keep.sum()))
-            pos[alive[keep]] = p[keep] + rho[keep] * np.exp(2j * math.pi * u)
-            alive = alive[keep]
-        steps[lo + alive] = cap  # cap reached: discarded, kind stays -1
+                gone = idx[hit]
+                kinds[gone] = 0 if domain.empty else on_slit[hit]
+                finals[gone] = p[hit]
+                steps[gone] = it
+                keep = ~hit
+                idx, p, rho = idx[keep], p[keep], rho[keep]
+                if idx.size == 0:
+                    break
+            u = rng.random(idx.size)
+            p = p + rho * np.exp(2j * math.pi * u)
+        steps[idx] = cap  # cap reached: discarded, kind stays -1
     return kinds, finals, steps
 
 

@@ -27,7 +27,7 @@ bit at integer times.  The scaling kernel keeps log-scale data so rates stay
 exact at iteration counts where materialized doubles would saturate.  Disc
 materialization flags points indistinguishable from the boundary instead of
 silently clipping.  Maps without a kernel (quad, custom) iterate by direct
-composition.
+composition in one forward pass with checkpoints (_BlackBoxOrbit).
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ from .util import SATURATION_EPS
 
 N_CAP_CHARTED = 10 ** 7
 N_CAP_BLACKBOX = 10 ** 6
+# Black-box orbits keep f^(jK)(z0) every K steps (see _BlackBoxOrbit).
+CHECKPOINT_SPACING = 1024
+# How far outside the closed disc rounding may leave a black-box point.
+OUT_OF_DISC_MARGIN = 1e-9
 
 HYPERBOLIC = "hyperbolic"
 POSITIVE_PARABOLIC = "positive-parabolic"
@@ -338,8 +342,10 @@ def quadratic_parabolic():
     """f(z) = (1 + z^2)/2: non-univalent, boundary fixed point 1, f'(1) = 1."""
 
     def f(z):
-        return (1.0 + np.asarray(z, dtype=complex) ** 2) / 2.0 if isinstance(z, np.ndarray) \
-            else (1.0 + complex(z) ** 2) / 2.0
+        if isinstance(z, np.ndarray):
+            return (1.0 + np.asarray(z, dtype=complex) ** 2) / 2.0
+        z = complex(z)
+        return (1.0 + z * z) / 2.0  # the same double as complex ** 2, one product fewer
 
     return ModelMap(name="quad", variant="quad", func=f,
                     tau=BoundaryPoint(0.0), f_prime_tau=1.0, chart=None,
@@ -491,34 +497,64 @@ class _ChartedOrbit(OrbitRecord):
 
 
 class _BlackBoxOrbit(OrbitRecord):
-    """Orbit by direct composition, materialized only at requested indices."""
+    """Orbit by direct composition in one forward pass, with checkpoints.
+
+    The record keeps f^(jK)(z0) for K = CHECKPOINT_SPACING and every j up to
+    the highest index reached: at most N_CAP_BLACKBOX / K + 1 = 977 complexes,
+    never a dense orbit.  A request is served in index order, each index
+    composed forward from the nearest stored point at or below it (the
+    previous index of the request or a checkpoint), so no index is composed
+    from f^0 twice.  Each step calls map.func on one point, exactly as a plain
+    `z = f(z)` loop does, and the running point is a Python complex at every
+    checkpoint, so f^n(z0) is always the same chain of calls from the
+    checkpoint below n: its bits do not depend on the order, repetition or
+    grouping of requests.
+
+    The first stored point, in index order, that is non-finite or lies
+    outside the closed disc by more than OUT_OF_DISC_MARGIN raises
+    InvalidPointError naming its index; stored points are the checkpoints
+    and the requested indices.  Orbits that saturate land on |z| = 1
+    exactly and are flagged, not raised.
+    """
 
     def __init__(self, map_, z0, n_max):
         super().__init__(map_, z0, n_max)
-        self._cache = {0: self.z0}
+        self._marks = [self.z0]  # f^(jK)(z0), j = 0, 1, ...
 
-    def _ensure(self, indices):
-        needed = sorted(set(int(i) for i in np.atleast_1d(indices)) - set(self._cache))
-        if not needed:
-            return
-        have = sorted(self._cache)
-        start = max(i for i in have if i <= needed[0])
-        z = self._cache[start]
-        need_iter = iter(needed)
-        nxt = next(need_iter)
-        f = self.map.func
-        for k in range(start, needed[-1]):
-            z = f(z)
-            if k + 1 == nxt:
-                self._cache[k + 1] = complex(z)
-                nxt = next(need_iter, None)
-                if nxt is None:
-                    break
+    def _stored(self, k, z):
+        """z = f^k(z0) as a Python complex, checked to lie in the closed disc."""
+        z = complex(z)
+        if not abs(z) <= 1.0 + OUT_OF_DISC_MARGIN:  # also false for nan and inf
+            raise InvalidPointError(
+                f"{self.map.name} orbit leaves the closed disc: f^{k}(z0) = {z!r}")
+        return z
+
+    def _advance(self, k, z, n):
+        """f^n(z0) from z = f^k(z0), k <= n, storing every checkpoint passed."""
+        f, marks = self.map.func, self._marks
+        while k < n:
+            stop = min(n, (k // CHECKPOINT_SPACING + 1) * CHECKPOINT_SPACING)
+            for _ in range(stop - k):
+                z = f(z)
+            k = stop
+            if k == len(marks) * CHECKPOINT_SPACING:
+                z = self._stored(k, z)
+                marks.append(z)
+        return z
 
     def _points(self, n):
         n = self._check(n)
-        self._ensure(n)
-        pts = np.array([self._cache[int(k)] for k in np.atleast_1d(n)], dtype=complex)
+        ks = np.atleast_1d(n)
+        pts = np.empty(ks.shape, dtype=complex)
+        k, z = 0, self.z0
+        for pos in np.argsort(ks, kind="stable"):
+            i = int(ks[pos])
+            j = min(i // CHECKPOINT_SPACING, len(self._marks) - 1)
+            if j * CHECKPOINT_SPACING > k:
+                k, z = j * CHECKPOINT_SPACING, self._marks[j]
+            z = self._advance(k, z, i)
+            k = i
+            pts[pos] = self._stored(i, z)
         return pts if np.ndim(n) else pts[0]
 
     def disc_point(self, n):
@@ -558,8 +594,8 @@ def iterate(f: ModelMap, z, n):
     """Orbit record for f^0(z), ..., f^n(z).
 
     Maps with a kernel compute in chart coordinates (cap 1e7); the others
-    compose directly (cap 1e6) and flag boundary saturation instead of
-    clipping.
+    compose directly (cap 1e6), flag boundary saturation instead of
+    clipping, and raise InvalidPointError at points that leave the disc.
     """
     if f.kernel is None:
         return _BlackBoxOrbit(f, z, n)

@@ -126,13 +126,22 @@ class TestSubcommands:
         header = (out / "opnorm.csv").read_text().splitlines()[0]
         assert header == "n,mod_f0,hardy_lo,hardy_hi,bergman_lo,bergman_hi"
 
-    def test_custom_map(self, tmp_path):
+    def test_custom_map(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[map]\nname = custom\ncustom_expr = (1 + z*z)/2\n"
                                "[grid]\ninclude = 0,1,2\n")
         out = tmp_path / "out"
         assert main(["orbit", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "orbit.csv").read_text().strip().splitlines()
         assert float(rows[2].split(",")[1]) == 0.5
+        # a rule that leaves the disc is a usage error, not a traceback or a file
+        cfg = _write(tmp_path, "[map]\nname = custom\ncustom_expr = z + 0.5\n", name="leaves.ini")
+        for sub in ("rate", "slope", "orbit"):
+            capsys.readouterr()
+            out = tmp_path / f"leaves-{sub}"
+            assert main([sub, "--config", cfg, "--out", str(out)]) == 2, sub
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err, sub
+            assert not (out / f"{sub}.csv").exists(), sub
 
 
 class TestHmModes:
@@ -187,6 +196,13 @@ class TestAccept:
 
 
 class TestImport:
+    def test_module_run_has_no_runpy_warning(self):
+        src = os.path.dirname(os.path.dirname(disciter.__file__))
+        out = subprocess.run([sys.executable, "-m", "disciter.cli", "accept", "--help"],
+                             capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert "RuntimeWarning" not in out.stderr
+
     def test_cli_import_leaves_scipy_out(self):
         code = "import sys, disciter.cli; print('scipy' in sys.modules)"
         src = os.path.dirname(os.path.dirname(disciter.__file__))

@@ -5,9 +5,9 @@ import pytest
 
 from disciter import harmonic
 from disciter.errors import InvalidPointError
-from disciter.harmonic import (SlitDiskDomain, arc_diameter,
-                               arc_measure_from_diameter, hm_disk_arc, hm_wos,
-                               tail_hm_series, tail_slit)
+from disciter.harmonic import (WOS_CHUNK, WOS_EPS, SlitDiskDomain, _wos_run,
+                               arc_diameter, arc_measure_from_diameter,
+                               hm_disk_arc, hm_wos, tail_hm_series, tail_slit)
 from disciter.maps import koebe_shift, iterate
 
 WALKS = 2 * 10 ** 4  # module tests trade walks for speed; acceptance uses 1e5
@@ -141,6 +141,31 @@ class TestWos:
         a = hm_wos(dom, 0.0, target="slit", n_walks=5000, seed=77)
         b = hm_wos(dom, 0.0, target="slit", n_walks=5000, seed=77)
         assert a.value == b.value and a.se == b.se
+
+    def test_pinned_bits(self):
+        # Recorded from the masked loop; 2 chunks and a partial third, and the
+        # zigzag's cap discards walks.  Any change to the walks moves these.
+        n_walks = 2 * WOS_CHUNK + 123
+        cases = [
+            (SlitDiskDomain([]), 0.3 + 0.2j, dict(target="circle", arc=(0.7, 2.4)), 2025,
+             (0.3509774710407102, 0.002631667199056441, 0, 12.760846432154693)),
+            (SlitDiskDomain([0.4, 0.8]), 0.0, dict(target="slit"), 2026,
+             (0.2812623514031194, 0.0024791480340029827, 0, 15.525827734030585)),
+            (SlitDiskDomain([-0.7, -0.5 + 0.2j, -0.3, -0.1 + 0.2j]), -0.4 - 0.3j,
+             dict(target="slit", cap=40), 2027,
+             (0.4386057319907049, 0.0027620911927290323, 616, 14.042106893880712)),
+        ]
+        for dom, z, kwargs, seed, pinned in cases:
+            est = hm_wos(dom, z, n_walks=n_walks, seed=seed, **kwargs)
+            assert (est.value, est.se, est.discards, est.mean_steps) == pinned
+
+    def test_chunk_walks_independent_of_walk_count(self):
+        # a chunk's walks depend only on the seed and the chunk index
+        dom = SlitDiskDomain([0.4, 0.8])
+        full = _wos_run(dom, 0.1j, 2 * WOS_CHUNK + 123, WOS_EPS, 10 ** 5, seed=8)
+        first = _wos_run(dom, 0.1j, WOS_CHUNK, WOS_EPS, 10 ** 5, seed=8)
+        for a, b in zip(full, first):
+            assert np.array_equal(a[:WOS_CHUNK], b)
 
     def test_discard_accounting(self):
         dom = SlitDiskDomain([0.4, 0.8])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from disciter import maps
 from disciter.errors import InvalidPointError, UnsupportedModelError
 from disciter.hypgeo import boundary_quotient, dist_disk
-from disciter.maps import (eval_map, hyperbolic_automorphism, iterate,
-                           koebe_shift, parabolic_automorphism,
-                           quadratic_parabolic, resolve_map)
+from disciter.maps import (CHECKPOINT_SPACING, custom_map, eval_map,
+                           hyperbolic_automorphism, iterate, koebe_shift,
+                           parabolic_automorphism, quadratic_parabolic,
+                           resolve_map)
 from disciter.rates import step_series
 from disciter.slope import slope_report
 from disciter.util import geometric_grid
@@ -161,6 +163,72 @@ class TestIterate:
         prefix = orbit.steps_prefix(100)
         assert prefix[0] == 0.0
         assert prefix[100] == pytest.approx(float(orbit.dist_from_start(100)), abs=1e-12)
+
+
+def _bits(z):
+    return np.atleast_1d(np.asarray(z, dtype=complex)).view(np.int64)
+
+
+class TestBlackBoxEngine:
+    def test_request_orders_match_plain_loop(self):
+        f, n_max, K = quadratic_parabolic(), 10 ** 5, CHECKPOINT_SPACING
+        ref = [0j]
+        w = 0j
+        for _ in range(n_max):
+            w = f.func(w)
+            ref.append(w)
+        ref = np.array(ref)
+        rng = np.random.default_rng(3)
+        ascending = np.unique(rng.integers(0, n_max + 1, 300))
+        orders = {
+            "ascending": ascending,
+            "descending": ascending[::-1],
+            "shuffled": rng.permutation(ascending),
+            "repeated": np.array([5, 5, 5000, 5, 5000, 5000]),
+            "straddling": np.array([K - 1, K, K + 1, 3 * K - 1, 3 * K, 3 * K + 1]),
+            "n_max": np.array([n_max]),
+        }
+        shared = iterate(f, 0.0, n_max)
+        for name, ks in orders.items():
+            for orbit in (iterate(f, 0.0, n_max), shared):
+                z, _ = orbit.disc_point(ks)
+                assert np.array_equal(_bits(z), _bits(ref[ks])), name
+                z_last, _ = orbit.disc_point(int(ks[-1]))
+                assert np.array_equal(_bits(z_last), _bits(ref[ks[-1]])), name
+
+    def test_criterion_05_pattern_composes_once(self):
+        # one_minus_mod(n) and then the grid below n, as criterion 05 asks;
+        # a second pass from f^0 would make it 2n
+        base, n = quadratic_parabolic(), 10 ** 6
+        calls = [0]
+
+        def counted(z):
+            calls[0] += 1
+            return base.func(z)
+
+        orbit = iterate(dataclasses.replace(base, func=counted), 0.0, n)
+        orbit.one_minus_mod(n)
+        orbit.disc_point(geometric_grid(n - 1))
+        assert calls[0] <= 1.05 * n
+
+    def test_leaving_the_disc_raises_with_index(self):
+        outward = custom_map(lambda z: z + 0.5)
+        with pytest.raises(InvalidPointError, match=r"f\^3\(z0\)"):
+            iterate(outward, 0.0, 10).disc_point(np.arange(11))
+        # the checkpoint at K is checked before the requested index 2K - 1
+        with pytest.raises(InvalidPointError, match=rf"f\^{CHECKPOINT_SPACING}\(z0\)"):
+            iterate(outward, 0.0, 2 * CHECKPOINT_SPACING).disc_point(2 * CHECKPOINT_SPACING - 1)
+        with pytest.raises(InvalidPointError, match=r"f\^1\(z0\)"):
+            iterate(custom_map(lambda z: z * math.nan), 0.1, 10).disc_point(1)
+
+    def test_saturating_mobius_flagged_not_raised(self):
+        # hyperbolic disc automorphisms fixing +-1 round onto |z| = 1 exactly
+        grid = geometric_grid(10 ** 5)
+        for a in (0.5, 0.75):
+            f = custom_map(lambda z, a=a: (z + a) / (1.0 + a * z))
+            for z0 in (0.0, 0.5j, -0.3 + 0.4j):
+                z, sat = iterate(f, z0, 10 ** 5).disc_point(grid)
+                assert sat[-1] and np.all(np.abs(z) <= 1.0), (a, z0)
 
 
 def _inferred_type(f, z0, n_max):
