@@ -113,7 +113,7 @@ def criterion_05_quadratic_parabolic(seed=DEFAULT_SEED):
     scaled = n_max * float(orbit.one_minus_mod(n_max))
     oracle_scaled = n_max * e
     ratio = float(orbit.dist_from_start(n_max)) / math.log(n_max)
-    div = rates.divergence_series(orbit, 0.0, grid, epsilon=1e-9)
+    div = rates.divergence_series(orbit, grid, epsilon=1e-9)
     floor = div.floor_holds and math.isfinite(div.fitted_c)
     rep = slope.slope_report(orbit, grid)
     singleton_zero = rep.cluster.singleton and abs(rep.cluster.midpoint) <= 1e-3

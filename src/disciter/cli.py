@@ -25,8 +25,7 @@ from .errors import ConfigError, InvalidPointError, UnsupportedModelError
 from .util import geometric_grid, write_csv, write_json, write_svg_series
 
 _ALLOWED_KEYS = {
-    "map": {"name", "start", "custom_expr", "custom_tau_angle",
-            "custom_fprime_tau", "custom_univalent"},
+    "map": {"name", "start", "custom_expr", "custom_tau_angle", "custom_fprime_tau"},
     "grid": {"n_max", "include"},
     "rate": {"epsilon", "lower_eps", "non_tangential"},
     "slope": {"tail_fraction"},
@@ -36,7 +35,6 @@ _ALLOWED_KEYS = {
     "hm": {"mode", "z", "theta1", "theta2", "target", "slit", "cut"},
     "opnorm": {"p", "alpha"},
     "output": {"basename"},
-    "tolerances": {"closed_form"},
 }
 
 
@@ -59,6 +57,22 @@ def load_config(path):
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
         cfg[section] = dict(parser[section])
     return cfg
+
+
+# Casts for _get: a malformed value raises ValueError, which _get reports as
+# a ConfigError (exit 2).
+def _complex(raw):
+    return complex(raw.replace(" ", ""))
+
+
+def _points(raw):
+    return [_complex(tok) for tok in raw.split(",") if tok]
+
+
+def _indices(raw):
+    if not raw:
+        return None  # `include =` leaves the grid to n_max
+    return np.array(sorted({int(tok) for tok in raw.split(",")}), dtype=np.int64)
 
 
 def _get(cfg, section, key, cast, default):
@@ -94,8 +108,7 @@ def _resolve_map(cfg):
         return maps.custom_map(
             func,
             tau_angle=_get(cfg, "map", "custom_tau_angle", float, 0.0),
-            f_prime_tau=_get(cfg, "map", "custom_fprime_tau", float, 1.0),
-            univalent=_get(cfg, "map", "custom_univalent", bool, False))
+            f_prime_tau=_get(cfg, "map", "custom_fprime_tau", float, 1.0))
     try:
         return maps.resolve_map(name)
     except UnsupportedModelError as exc:
@@ -103,19 +116,12 @@ def _resolve_map(cfg):
 
 
 def _start_point(cfg):
-    raw = _get(cfg, "map", "start", str, "0")
-    try:
-        return complex(raw.replace(" ", ""))
-    except ValueError as exc:
-        raise ConfigError(f"bad start point {raw!r}") from exc
+    return _get(cfg, "map", "start", _complex, 0j)
 
 
 def _grid(cfg, f):
-    include = _get(cfg, "grid", "include", str, "")
-    if include:
-        ns = np.array(sorted({int(tok) for tok in include.split(",")}), dtype=np.int64)
-        if ns.size == 0:
-            raise ConfigError("empty grid")
+    ns = _get(cfg, "grid", "include", _indices, None)
+    if ns is not None:
         return ns
     n_max = _get(cfg, "grid", "n_max", int, min(10 ** 6, f.n_cap - 1))
     if n_max < 1:
@@ -207,18 +213,16 @@ def _cmd_semiflow(args, cfg):
     f = _resolve_map(cfg)
     traj = semiflow.make_trajectory(f, _start_point(cfg))
     t_max = _get(cfg, "semiflow", "t_max", float, traj.horizon)
-    tol = _get(cfg, "tolerances", "closed_form", float, 1e-12)
     ts = np.arange(0.0, t_max + 0.25, 0.25)
     pts = np.atleast_1d(traj.point(ts))
     checks = {
         "embed": semiflow.embed_check(
-            traj, n_max=_get(cfg, "semiflow", "n_embed", int, 10 ** 4),
-            tol=tol).to_dict(),
-        "invariance": semiflow.invariance_check(traj, ts[:-4], tol=tol).to_dict(),
+            traj, n_max=_get(cfg, "semiflow", "n_embed", int, 10 ** 4)).to_dict(),
+        "invariance": semiflow.invariance_check(traj, ts[:-4]).to_dict(),
         "lipschitz_hyperbolic": semiflow.lipschitz_hyperbolic_check(
-            traj, [(a, b) for a, b in zip(ts[:-1:8], ts[1::8])], tol=tol).to_dict(),
+            traj, [(a, b) for a, b in zip(ts[:-1:8], ts[1::8])]).to_dict(),
         "lipschitz_euclidean": semiflow.lipschitz_euclidean_check(
-            traj, [(a, b) for a, b in zip(ts[:-1:8], ts[1::8])], tol=tol).to_dict(),
+            traj, [(a, b) for a, b in zip(ts[:-1:8], ts[1::8])]).to_dict(),
     }
     _emit(args, cfg, ["t", "re", "im"], [ts, pts.real, pts.imag],
           {"schema": "disciter/semiflow/v1", "map": f.name, "checks": checks},
@@ -233,7 +237,7 @@ def _cmd_hm(args, cfg):
     eps = _get(cfg, "wos", "epsilon", float, harmonic.WOS_EPS)
     cap = _get(cfg, "wos", "cap", int, harmonic.WOS_CAP)
     if mode == "arc":
-        z = complex(_get(cfg, "hm", "z", str, "0").replace(" ", ""))
+        z = _get(cfg, "hm", "z", _complex, 0j)
         t1 = _get(cfg, "hm", "theta1", float, 0.0)
         t2 = _get(cfg, "hm", "theta2", float, math.pi)
         est = harmonic.hm_disk_arc(z, t1, t2)
@@ -243,10 +247,8 @@ def _cmd_hm(args, cfg):
                "arc measure", "theta", "omega"))
         return 0
     if mode == "wos":
-        z = complex(_get(cfg, "hm", "z", str, "0").replace(" ", ""))
-        slit_raw = _get(cfg, "hm", "slit", str, "")
-        verts = [complex(tok.replace(" ", "")) for tok in slit_raw.split(",") if tok]
-        domain = harmonic.SlitDiskDomain(verts)
+        z = _get(cfg, "hm", "z", _complex, 0j)
+        domain = harmonic.SlitDiskDomain(_get(cfg, "hm", "slit", _points, []))
         est = harmonic.hm_wos(domain, z,
                               target=_get(cfg, "hm", "target", str, "slit"),
                               n_walks=walks, eps=eps, cap=cap, seed=seed)

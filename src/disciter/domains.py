@@ -1,9 +1,10 @@
-"""Concrete simply connected domains with exact Riemann maps.
+"""Concrete simply connected domains (the chart images) and their distances.
 
-Every descriptor supplies an exact membership test, the Euclidean boundary
-distance, a closed-form Riemann map pair to/from the unit disc (except the
-strip, the scaling chart's image), the hyperbolic metric density, and exact
-hyperbolic distances by conformal transport.
+Every descriptor supplies an exact membership test, an exact test that a
+straight segment stays inside, and the Euclidean boundary distance.
+dist_domain gives exact hyperbolic distances by conformal transport to the
+disc (all tags except the strip, the scaling chart's image), and
+horodisc_tangency_ratio compares the horodisc metric with the disc metric.
 
 The canonical slit plane is K = C \\ (-inf, -1], uniformized by
 
@@ -15,14 +16,13 @@ cut are rejected rather than resolved by convention.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidPointError, UnsupportedModelError
 from . import hypgeo
-from .hypgeo import as_complex, dist_disk, dist_halfplane, metric_disk, metric_halfplane
+from .hypgeo import as_complex, dist_disk, dist_halfplane
 
 
 def slit_riemann(z):
@@ -54,19 +54,12 @@ def _slit_boundary_distance(w):
     return np.where(x <= -1.0, np.abs(y), np.abs(w + 1.0))
 
 
-def _slit_metric(w):
-    z = slit_riemann_inv(w)
-    gprime = 4.0 * (1.0 + z) / (1.0 - z) ** 3
-    return metric_disk(z) / np.abs(gprime)
-
-
 @dataclass(frozen=True)
 class SimplyConnectedDescriptor:
-    """A named domain: membership, boundary distance, Riemann pair, metric.
+    """A named domain: membership, segment containment, boundary distance.
 
     Tags: disc, right-half-plane, upper-half-plane, strip (param = half-width),
-    slit-plane-k.  The strip supplies no Riemann pair and no transported
-    distance.
+    slit-plane-k.  The strip has no transported distance in dist_domain.
     """
 
     tag: str
@@ -131,44 +124,6 @@ class SimplyConnectedDescriptor:
         else:
             out = _slit_boundary_distance(wa)
         return out if isinstance(w, np.ndarray) else float(out)
-
-    def to_disk(self, w):
-        """Riemann map onto the unit disc (exact closed form)."""
-        w = self._require_inside(w, "to_disk")
-        if self.tag == "disc":
-            return w
-        if self.tag == "right-half-plane":
-            return (w - 1.0) / (w + 1.0)
-        if self.tag == "upper-half-plane":
-            return (w - 1j) / (w + 1j)
-        if self.tag == "slit-plane-k":
-            return slit_riemann_inv(w)
-        raise UnsupportedModelError("strip supplies no Riemann pair")
-
-    def from_disk(self, z):
-        z = hypgeo.require_in_disk(z, "from_disk")
-        if self.tag == "disc":
-            return z
-        if self.tag == "right-half-plane":
-            return (1.0 + z) / (1.0 - z)
-        if self.tag == "upper-half-plane":
-            return 1j * (1.0 + z) / (1.0 - z)
-        if self.tag == "slit-plane-k":
-            return slit_riemann(z)
-        raise UnsupportedModelError("strip supplies no Riemann pair")
-
-    def metric_density(self, w):
-        w = self._require_inside(w, "metric_density")
-        if self.tag == "disc":
-            return metric_disk(w)
-        if self.tag == "right-half-plane":
-            return metric_halfplane(w, "right")
-        if self.tag == "upper-half-plane":
-            return metric_halfplane(w, "upper")
-        if self.tag == "strip":
-            a = self.param
-            return math.pi / (4.0 * a) / np.cos(math.pi * np.imag(np.asarray(w)) / (2.0 * a))
-        return _slit_metric(w)
 
 
 DISC = SimplyConnectedDescriptor("disc")

@@ -14,8 +14,9 @@ to infinity.
 All functions are pure and accept numpy arrays wherever a point argument makes
 sense elementwise.  Values are immutable and safe to share across threads.
 
-Limitations: only the two half-plane charts are supported for sectors; no
-general-domain sectors, no multiply connected geodesics, no prime ends.
+Limitations: distances here are for the disc and the two half-plane charts
+only (domains.dist_domain transports the other domains); no multiply
+connected geodesics, no prime ends.
 """
 
 from __future__ import annotations
@@ -26,31 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPointError
-from .util import TOL_CLOSED_FORM, bisect_root
-
-
-# ---------------------------------------------------------------------------
-# Point types.  The numeric kernels below take bare complex values; these thin
-# wrappers validate once at construction and are used at API boundaries.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point strictly inside the unit disc."""
-
-    re: float
-    im: float
-
-    def __post_init__(self):
-        z = complex(self.re, self.im)
-        if not (np.isfinite(self.re) and np.isfinite(self.im)):
-            raise InvalidPointError("disc point must be finite")
-        if abs(z) >= 1.0:
-            raise InvalidPointError(f"|z| = {abs(z)} is not < 1")
-
-    @property
-    def value(self):
-        return complex(self.re, self.im)
+from .util import TOL_CLOSED_FORM
 
 
 @dataclass(frozen=True)
@@ -69,57 +46,13 @@ class BoundaryPoint:
         return complex(math.cos(self.angle), math.sin(self.angle))
 
 
-@dataclass(frozen=True)
-class StolzAngle:
-    """Non-tangential approach region S(sigma, R) = {|sigma - z| / (1 - |z|) < R}."""
-
-    vertex: BoundaryPoint
-    aperture: float  # R > 1
-
-    def __post_init__(self):
-        if not self.aperture > 1.0:
-            raise InvalidPointError("Stolz aperture must be > 1")
-
-
-@dataclass(frozen=True)
-class HalfPlaneSector:
-    """Sector around the positive-axis geodesic of the right half-plane.
-
-    The set is D(base, R) in the hyperbolic metric, unioned with the Euclidean
-    angular sector {r e^{i t} : r > base, |t| < beta} whose half-aperture beta
-    solves d(1, e^{i beta}) = R.  beta is found by bisection to 1e-12.
-    """
-
-    base_radius: float
-    amplitude: float
-    half_aperture: float = None  # derived; do not pass
-
-    def __post_init__(self):
-        if not self.base_radius > 0.0:
-            raise InvalidPointError("sector base radius must be > 0")
-        if not self.amplitude > 0.0:
-            raise InvalidPointError("sector amplitude must be > 0")
-        beta = _solve_sector_aperture(self.amplitude)
-        object.__setattr__(self, "half_aperture", beta)
-
-
-def _solve_sector_aperture(big_r):
-    # d(1, e^{i b}) is increasing in b on (0, pi/2) and covers (0, inf).
-    hi = math.pi / 2.0 - 1e-15
-
-    def gap(b):
-        return dist_halfplane(1.0, complex(math.cos(b), math.sin(b)), chart="right") - big_r
-
-    return bisect_root(gap, 1e-300, hi, tol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Validation helpers
 # ---------------------------------------------------------------------------
 
 def as_complex(z):
-    """Coerce DiskPoint/BoundaryPoint/complex-like to a complex scalar or array."""
-    if isinstance(z, (DiskPoint, BoundaryPoint)):
+    """Coerce a BoundaryPoint or complex-like value to a complex scalar or array."""
+    if isinstance(z, BoundaryPoint):
         return z.value
     return np.asarray(z, dtype=complex) if isinstance(z, np.ndarray) else complex(z)
 
@@ -145,7 +78,7 @@ def _require_halfplane(w, chart, where="point"):
 
 
 # ---------------------------------------------------------------------------
-# Metric, distance, length
+# Metric and distance
 # ---------------------------------------------------------------------------
 
 def metric_disk(z):
@@ -192,63 +125,9 @@ def dist_halfplane(w1, w2, chart="right"):
     return 0.5 * np.log1p(2.0 * delta / gap)
 
 
-def metric_halfplane(w, chart="right"):
-    """Transported density 1/(2 Re w) or 1/(2 Im w)."""
-    w = _require_halfplane(w, chart, "metric_halfplane")
-    part = np.real(w) if chart == "right" else np.imag(w)
-    return 1.0 / (2.0 * part)
-
-
-_METRIC_TAGS = {
-    "disc": metric_disk,
-    "right-half-plane": lambda w: metric_halfplane(w, "right"),
-    "upper-half-plane": lambda w: metric_halfplane(w, "upper"),
-}
-
-
-def curve_length(metric, samples):
-    """Trapezoid approximation of the hyperbolic length of a polyline.
-
-    `metric` is a domain tag ('disc', 'right-half-plane', 'upper-half-plane'),
-    or any callable returning the metric density at a point.  Refinement is the
-    caller's job; the value converges to the true length of a smooth curve as
-    the polyline is refined.
-    """
-    if callable(metric):
-        density = metric
-    else:
-        try:
-            density = _METRIC_TAGS[metric]
-        except KeyError:
-            raise ValueError(f"unknown metric tag {metric!r}") from None
-    pts = np.asarray([as_complex(p) for p in samples], dtype=complex)
-    if pts.size < 2:
-        raise InvalidPointError("curve_length: need at least 2 samples")
-    lam = np.asarray(density(pts), dtype=float)
-    seg = np.abs(np.diff(pts))
-    return float(np.sum(0.5 * (lam[:-1] + lam[1:]) * seg))
-
-
 # ---------------------------------------------------------------------------
-# Regions and boundary inequalities
+# Boundary inequalities
 # ---------------------------------------------------------------------------
-
-def stolz_contains(sector: StolzAngle, z):
-    """Membership test |sigma - z|/(1 - |z|) < R."""
-    z = require_in_disk(z, "stolz_contains")
-    sigma = sector.vertex.value
-    ratio = np.abs(sigma - z) / (1.0 - np.abs(z))
-    return ratio < sector.aperture
-
-
-def sector_halfplane_contains(sector: HalfPlaneSector, w):
-    """Membership in the right-half-plane sector (hyperbolic disc plus angular tail)."""
-    w = _require_halfplane(w, "right", "sector_halfplane_contains")
-    base = complex(sector.base_radius, 0.0)
-    in_disc = dist_halfplane(base, w, chart="right") < sector.amplitude
-    in_tail = (np.abs(w) > sector.base_radius) & (np.abs(np.angle(w)) < sector.half_aperture)
-    return in_disc | in_tail
-
 
 def boundary_quotient(tau, z):
     """Julia quotient |tau - z|^2 / (1 - |z|^2)."""
@@ -285,7 +164,8 @@ def distance_lemma_bounds(domain, z1, z2, samples=4096):
     upper = trapezoid value of the boundary-distance integral along the straight
     segment, or None when the sampled segment exits the domain.
 
-    `domain` must provide contains(w) and boundary_distance(w).
+    `domain` must provide contains(w), boundary_distance(w) and
+    segment_inside(w1, w2), as every domains.SimplyConnectedDescriptor does.
     """
     z1 = as_complex(z1)
     z2 = as_complex(z2)
@@ -297,12 +177,9 @@ def distance_lemma_bounds(domain, z1, z2, samples=4096):
     lower = 0.25 * math.log1p(sep / min(d1, d2))
     if sep == 0.0:
         return 0.0, 0.0
-    ts = np.linspace(0.0, 1.0, samples)
-    pts = z1 + ts * (z2 - z1)
-    inside = domain.segment_inside(z1, z2) if hasattr(domain, "segment_inside") \
-        else np.all(domain.contains(pts))
-    if not inside:
+    if not domain.segment_inside(z1, z2):
         return lower, None
+    pts = z1 + np.linspace(0.0, 1.0, samples) * (z2 - z1)
     inv_delta = 1.0 / np.asarray(domain.boundary_distance(pts), dtype=float)
     upper = float(np.trapezoid(inv_delta, dx=sep / (samples - 1)))
     return lower, upper

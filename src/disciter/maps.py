@@ -16,7 +16,7 @@ QuadraticParabolic   f(z) = (1 + z^2)/2, non-univalent (f(z) = f(-z)), no
                      closed-form chart; the designated black-box stress case.
                      Its asymptotics are certified externally by the
                      independent recurrence e_{n+1} = e_n - e_n^2/2.
-Custom               user evaluation rule, optionally with a chart.
+Custom               user evaluation rule, iterated as a black box.
 
 Each charted zoo member owns one kernel: the closed forms of its semiflow
 phi_t(z0) = h^{-1}(h(z0) + t) as functions of real t (Koenigs coordinate, log
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,7 +67,6 @@ class KoenigsChart:
     forward: callable
     inverse: callable
     omega: domains.SimplyConnectedDescriptor
-    tau: BoundaryPoint
     declared_type: str
 
 
@@ -79,11 +78,9 @@ class ModelMap:
     tau: BoundaryPoint
     f_prime_tau: float
     chart: KoenigsChart = None
-    univalent: bool = True
-    omega_starlike: bool = False
-    params: tuple = field(default_factory=tuple)
-    # z0 -> the model's chart kernel; None for maps iterated by composition
-    # (custom maps too, even when they declare a chart).
+    # z0 -> the model's chart kernel; None for maps iterated by composition.
+    # Every model with a kernel is univalent with a chart image starlike at
+    # infinity, which is what semiflow.make_trajectory needs.
     kernel: callable = None
     non_tangential: bool = False  # do orbits converge non-tangentially?
 
@@ -291,12 +288,10 @@ def hyperbolic_automorphism(lam):
         forward=lambda z: np.log(np.asarray(_cayley_right(z), dtype=complex)) / loglam,
         inverse=lambda w: _cayley_right_inv(np.exp(np.asarray(w, dtype=complex) * loglam)),
         omega=domains.strip(math.pi / (2.0 * loglam)),
-        tau=BoundaryPoint(0.0),
         declared_type=HYPERBOLIC,
     )
     return ModelMap(name=f"hyp:{lam:g}", variant="hyp-aut", func=f,
                     tau=BoundaryPoint(0.0), f_prime_tau=1.0 / lam, chart=chart,
-                    univalent=True, omega_starlike=True, params=(lam,),
                     kernel=lambda z0: _scaling_kernel(z0, lam), non_tangential=True)
 
 
@@ -310,13 +305,11 @@ def parabolic_automorphism():
         forward=_cayley_upper,
         inverse=_cayley_upper_inv,
         omega=domains.UPPER_HALF_PLANE,
-        tau=BoundaryPoint(0.0),
         declared_type=POSITIVE_PARABOLIC,
     )
     return ModelMap(name="parab-aut", variant="parab-aut", func=f,
                     tau=BoundaryPoint(0.0), f_prime_tau=1.0, chart=chart,
-                    univalent=True, omega_starlike=True, kernel=_upper_kernel,
-                    non_tangential=False)
+                    kernel=_upper_kernel, non_tangential=False)
 
 
 def koebe_shift():
@@ -329,13 +322,11 @@ def koebe_shift():
         forward=domains.slit_riemann,
         inverse=domains.slit_riemann_inv,
         omega=domains.SLIT_PLANE_K,
-        tau=BoundaryPoint(0.0),
         declared_type=ZERO_PARABOLIC,
     )
     return ModelMap(name="koebe", variant="koebe", func=f,
                     tau=BoundaryPoint(0.0), f_prime_tau=1.0, chart=chart,
-                    univalent=True, omega_starlike=True, kernel=_slit_kernel,
-                    non_tangential=True)
+                    kernel=_slit_kernel, non_tangential=True)
 
 
 def quadratic_parabolic():
@@ -349,19 +340,13 @@ def quadratic_parabolic():
 
     return ModelMap(name="quad", variant="quad", func=f,
                     tau=BoundaryPoint(0.0), f_prime_tau=1.0, chart=None,
-                    univalent=False, omega_starlike=False, non_tangential=True)
+                    non_tangential=True)
 
 
-def custom_map(func, tau_angle=0.0, f_prime_tau=None, univalent=False,
-               chart=None, name="custom"):
-    """Black-box map from a user evaluation rule, optionally with a chart.
-
-    A declared chart on a custom map supplies metadata (image domain, declared
-    type); iteration still composes the evaluation rule directly.
-    """
+def custom_map(func, tau_angle=0.0, f_prime_tau=None, name="custom"):
+    """Black-box map from a user evaluation rule, iterated by composition."""
     return ModelMap(name=name, variant="custom", func=func,
-                    tau=BoundaryPoint(tau_angle), f_prime_tau=f_prime_tau,
-                    chart=chart, univalent=univalent, omega_starlike=False)
+                    tau=BoundaryPoint(tau_angle), f_prime_tau=f_prime_tau)
 
 
 def resolve_map(name):
@@ -377,7 +362,11 @@ def resolve_map(name):
     if name == "quad":
         return quadratic_parabolic()
     if name.startswith("hyp:"):
-        return hyperbolic_automorphism(float(name.partition(":")[2]))
+        try:
+            lam = float(name.partition(":")[2])
+        except ValueError:
+            raise UnsupportedModelError(f"map name {name!r}: lambda is not a number") from None
+        return hyperbolic_automorphism(lam)
     raise UnsupportedModelError(f"unknown map name {name!r}")
 
 
@@ -432,6 +421,11 @@ class OrbitRecord:
     def disc_point(self, n):
         raise NotImplementedError
 
+    def available(self, n):
+        """Which indices carry exact data: all of them for a kernel orbit, the
+        unsaturated points for an orbit by composition."""
+        raise NotImplementedError
+
     def one_minus_mod_sq(self, n):
         return np.exp(self.log_one_minus_mod_sq(n))
 
@@ -479,6 +473,9 @@ class _ChartedOrbit(OrbitRecord):
         z = np.where(n == 0, self.z0, z)  # f^0 is the identity, exactly
         return (z, sat) if np.ndim(n) else (complex(z), bool(sat))
 
+    def available(self, n):
+        return np.ones(np.shape(self._check(n)), dtype=bool)
+
     def log_one_minus_mod_sq(self, n):
         return self._kernel.log_one_minus_mod_sq(self._check(n))
 
@@ -513,8 +510,9 @@ class _BlackBoxOrbit(OrbitRecord):
     The first stored point, in index order, that is non-finite or lies
     outside the closed disc by more than OUT_OF_DISC_MARGIN raises
     InvalidPointError naming its index; stored points are the checkpoints
-    and the requested indices.  Orbits that saturate land on |z| = 1
-    exactly and are flagged, not raised.
+    and the requested indices.  So does a step whose evaluation raises an
+    ArithmeticError (a rule dividing by zero on its orbit).  Orbits that
+    saturate land on |z| = 1 exactly and are flagged, not raised.
     """
 
     def __init__(self, map_, z0, n_max):
@@ -532,14 +530,18 @@ class _BlackBoxOrbit(OrbitRecord):
     def _advance(self, k, z, n):
         """f^n(z0) from z = f^k(z0), k <= n, storing every checkpoint passed."""
         f, marks = self.map.func, self._marks
-        while k < n:
-            stop = min(n, (k // CHECKPOINT_SPACING + 1) * CHECKPOINT_SPACING)
-            for _ in range(stop - k):
-                z = f(z)
-            k = stop
-            if k == len(marks) * CHECKPOINT_SPACING:
-                z = self._stored(k, z)
-                marks.append(z)
+        try:
+            while k < n:
+                stop = min(n, (k // CHECKPOINT_SPACING + 1) * CHECKPOINT_SPACING)
+                for j in range(k, stop):
+                    z = f(z)
+                k = stop
+                if k == len(marks) * CHECKPOINT_SPACING:
+                    z = self._stored(k, z)
+                    marks.append(z)
+        except ArithmeticError as exc:
+            raise InvalidPointError(
+                f"{self.map.name} orbit: f^{j + 1}(z0) cannot be evaluated: {exc}") from None
         return z
 
     def _points(self, n):
@@ -561,6 +563,9 @@ class _BlackBoxOrbit(OrbitRecord):
         z = self._points(n)
         sat = is_boundary_saturated(z)
         return (z, sat) if np.ndim(n) else (complex(z), bool(sat))
+
+    def available(self, n):
+        return ~np.asarray(self.disc_point(n)[1])
 
     def koenigs(self, n):
         return None

@@ -129,12 +129,8 @@ def discrete_qg_fit(orbit: OrbitRecord, policy: PairPolicy = None,
         raise InvalidPointError("orbit too short for the pair policy")
     prefix = orbit.steps_prefix(policy.m_max)
 
-    if orbit.map.kernel is not None:
-        ok_idx = np.ones(len(pairs), dtype=bool)
-    else:
-        _, sat = orbit.disc_point(np.arange(policy.m_max + 1, dtype=np.int64))
-        sat = np.asarray(sat)
-        ok_idx = np.array([not (sat[n] or sat[m]) for n, m in pairs])
+    ok = orbit.available(np.arange(policy.m_max + 1, dtype=np.int64))
+    ok_idx = np.array([ok[n] and ok[m] for n, m in pairs])
     excluded = 1.0 - float(np.mean(ok_idx))
     if excluded > 0.5:
         return QgCertificate("inconclusive", math.nan, math.nan,

@@ -20,12 +20,6 @@ from .maps import ModelMap, OrbitRecord, iterate
 from .util import FitResult, geometric_grid, last_decade_mask, linear_fit, tail_fit_mask
 
 
-def _as_orbit(f, z, n_needed):
-    if isinstance(f, OrbitRecord):
-        return f
-    return iterate(f, z, n_needed)
-
-
 def _check_grid(n_grid):
     ns = np.asarray(n_grid, dtype=np.int64)
     if ns.size == 0:
@@ -35,15 +29,6 @@ def _check_grid(n_grid):
     if ns[0] < 0:
         raise InvalidPointError("n grid must be nonnegative")
     return ns
-
-
-def _available(orbit, ns):
-    """Grid points with usable data: all of them for kernel (chart) orbits,
-    the unsaturated ones for orbits by composition."""
-    if orbit.map.kernel is not None:
-        return np.ones(ns.shape, dtype=bool)
-    _, sat = orbit.disc_point(ns)
-    return ~np.asarray(sat)
 
 
 @dataclass(frozen=True)
@@ -62,15 +47,14 @@ class DivergenceResult:
                 "fit_d_vs_logn": self.fit_d_vs_logn.to_dict()}
 
 
-def divergence_series(f, z, n_grid, epsilon=0.5):
+def divergence_series(orbit: OrbitRecord, n_grid, epsilon=0.5):
     """Series d(z, f^n z) over the grid, with the log-floor constant fitted.
 
     Charted orbits evaluate distances in chart coordinates (exact); black-box
     points that saturate are marked unavailable rather than approximated.
     """
     ns = _check_grid(n_grid)
-    orbit = _as_orbit(f, z, int(ns[-1]))
-    available = _available(orbit, ns)
+    available = orbit.available(ns)
     d = np.full(ns.shape, np.nan)
     d[available] = orbit.dist_from_start(ns[available])
 
@@ -102,15 +86,14 @@ class EuclideanResult:
                 "non_tangential": self.non_tangential}
 
 
-def euclidean_series(f, z, n_grid, non_tangential=False, fit_tol=0.02):
+def euclidean_series(orbit: OrbitRecord, n_grid, non_tangential=False, fit_tol=0.02):
     """Euclidean gap series with the decay-exponent fit and verdict.
 
     The fitted exponent of |f^n z - tau| is checked against -1/4 in general
     and against -1/2 when the caller flags non-tangential convergence.
     """
     ns = _check_grid(n_grid)
-    orbit = _as_orbit(f, z, int(ns[-1]))
-    available = _available(orbit, ns)
+    available = orbit.available(ns)
     omm = np.full(ns.shape, np.nan)
     gap = np.full(ns.shape, np.nan)
     omm[available] = orbit.one_minus_mod(ns[available])
@@ -135,13 +118,12 @@ class ArosioBracciResult:
                 "verdict": self.verdict, "tolerance": self.tolerance}
 
 
-def arosio_bracci_limit(f, z, n_max=10 ** 4, rel_tol=1e-3):
+def arosio_bracci_limit(orbit: OrbitRecord, n_max=10 ** 4, rel_tol=1e-3):
     """Tail average of d(z, f^n z)/n against the limit -log f'(tau)/2.
 
     For parabolic maps the target is 0 and the relative tolerance degenerates;
     the verdict then uses rel_tol as an absolute tolerance.
     """
-    orbit = _as_orbit(f, z, int(n_max))
     ns = geometric_grid(n_max)
     mask = last_decade_mask(ns)
     ratios = orbit.dist_from_start(ns[mask]) / ns[mask]
@@ -166,7 +148,7 @@ class LowerBoundResult:
                 "tail_bounded_away": self.tail_bounded_away, "verdict": self.verdict}
 
 
-def lower_bound_check(f, z, epsilon, n_max=10 ** 4):
+def lower_bound_check(orbit: OrbitRecord, epsilon, n_max=10 ** 4):
     """Geometric lower envelope |f^n z - tau| >= c0 (eps f'(tau))^n, c0 fitted.
 
     Ratios are handled in logs so the check stays meaningful where the
@@ -174,7 +156,6 @@ def lower_bound_check(f, z, epsilon, n_max=10 ** 4):
     """
     if not (0.0 < epsilon < 1.0):
         raise InvalidPointError("epsilon must lie in (0, 1)")
-    orbit = _as_orbit(f, z, int(n_max))
     fpt = orbit.map.f_prime_tau
     if fpt is None:
         raise InvalidPointError("lower_bound_check needs f'(tau)")
@@ -200,10 +181,10 @@ class StepResult:
                 "non_increasing": self.non_increasing}
 
 
-def step_series(f, z, n_grid, zero_threshold=1e-4):
-    """Step sequence d(f^n z, f^{n+1} z) on the grid with the trichotomy tag."""
+def step_series(orbit: OrbitRecord, n_grid, zero_threshold=1e-4):
+    """Step sequence d(f^n z, f^{n+1} z) on the grid with the trichotomy tag;
+    the orbit must reach one index past the grid."""
     ns = _check_grid(n_grid)
-    orbit = _as_orbit(f, z, int(ns[-1]) + 1)
     steps = orbit.step(ns)
     limit = float(steps[-1])
     tag = "zero-step" if limit < zero_threshold else "positive-step"
@@ -267,11 +248,11 @@ def rate_report(f: ModelMap, z, n_grid=None, epsilon=0.5, lower_eps=0.9,
     orbit = iterate(f, z, int(ns[-1]) + 1)
     if non_tangential is None:
         non_tangential = f.non_tangential
-    div = divergence_series(orbit, z, ns, epsilon=epsilon)
-    euc = euclidean_series(orbit, z, ns, non_tangential=non_tangential)
-    stp = step_series(orbit, z, ns)
-    ab = arosio_bracci_limit(orbit, z, n_max=int(ns[-1]))
-    lb = lower_bound_check(orbit, z, lower_eps, n_max=int(ns[-1]))
+    div = divergence_series(orbit, ns, epsilon=epsilon)
+    euc = euclidean_series(orbit, ns, non_tangential=non_tangential)
+    stp = step_series(orbit, ns)
+    ab = arosio_bracci_limit(orbit, n_max=int(ns[-1]))
+    lb = lower_bound_check(orbit, lower_eps, n_max=int(ns[-1]))
     tail = tail_fit_mask(ns, div.available & (ns >= 1))
     extras = {"euclid_bracket_consistent": euclid_consistency(orbit, ns),
               "fit_d_vs_n": linear_fit(ns[tail].astype(float), div.d[tail]).to_dict()}

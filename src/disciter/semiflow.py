@@ -61,7 +61,7 @@ class Trajectory:
 
 def make_trajectory(f: ModelMap, z):
     """Trajectory through z; rejects unsupported (non-univalent/uncharted) maps."""
-    if f.kernel is None or not (f.univalent and f.omega_starlike):
+    if f.kernel is None:
         raise UnsupportedModelError(
             f"{f.name}: trajectories need a univalent chart with image starlike "
             "at infinity (quad is rejected by design)")

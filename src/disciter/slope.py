@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPointError
-from .hypgeo import as_complex
 from .maps import OrbitRecord
 
 # Width below which a cluster interval is declared a singleton, and the margin
@@ -27,21 +26,6 @@ from .maps import OrbitRecord
 SINGLETON_WIDTH = 1e-3
 TANGENT_MARGIN = 1e-3
 STABILIZATION_TOL = 1e-3
-
-
-def slope_series(points, tau):
-    """Angles arg(1 - conj(tau) z_n) for an explicit point sequence.
-
-    Points numerically equal to tau give an undefined angle: the entry is NaN
-    and its index is reported.  For orbits prefer OrbitRecord.slope_angle,
-    which forms 1 - conj(tau) z without cancellation when charted.
-    """
-    tau = as_complex(tau)
-    pts = np.asarray([as_complex(p) for p in points], dtype=complex)
-    u = 1.0 - np.conj(tau) * pts
-    undefined = u == 0.0
-    thetas = np.where(undefined, np.nan, np.angle(np.where(undefined, 1.0, u)))
-    return thetas, np.nonzero(undefined)[0]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Shared numerics: nothing here knows about discs or maps.
 
-Grids, least-squares fits, bisection, deterministic sampling and the
-deterministic CSV/JSON/SVG writers used by the CLI.
+Grids, least-squares fits, deterministic sampling and the deterministic
+CSV/JSON/SVG writers used by the CLI.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default absolute tolerance of closed-form identities; overridable per call
-# site (the CLI exposes it as [tolerances] closed_form).
+# Absolute tolerance of closed-form identities (Julia slack, semiflow checks).
 TOL_CLOSED_FORM = 1e-12
 
 # Below this value of 1 - |z| a materialized disc point is treated as
@@ -38,27 +37,6 @@ def geometric_grid(n_max, dense_upto=32):
         k += 1
     vals.add(int(n_max))
     return np.array(sorted(vals), dtype=np.int64)
-
-
-def bisect_root(fn, lo, hi, tol=1e-12, max_iter=200):
-    """Bisection for fn(x) = 0 on [lo, hi]; requires a sign change."""
-    flo, fhi = fn(lo), fn(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise ValueError("bisect_root: no sign change on the bracket")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0 or (hi - lo) < tol:
-            return mid
-        if flo * fmid < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

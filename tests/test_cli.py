@@ -142,6 +142,31 @@ class TestSubcommands:
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err, sub
             assert not (out / f"{sub}.csv").exists(), sub
+        # so is a rule that divides by zero once its orbit saturates onto z = 1
+        cfg = _write(tmp_path, "[map]\nname = custom\nstart = 0.5j\ncustom_expr = "
+                               "(2*(1+z)/(1-z) - 1)/(2*(1+z)/(1-z) + 1)\n", name="pole.ini")
+        capsys.readouterr()
+        out = tmp_path / "pole"
+        assert main(["rate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (out / "rate.csv").exists()
+
+    @pytest.mark.parametrize("sub, text", [
+        ("hm", "[hm]\nz = abc\n"),
+        ("hm", "[hm]\nmode = wos\nslit = 0.5,xyz\n"),
+        ("orbit", "[map]\nstart = abc\n"),
+        ("orbit", "[grid]\ninclude = 1,x\n"),
+        ("orbit", "[grid]\ninclude = ,\n"),
+        ("orbit", "[map]\nname = hyp:abc\n"),
+    ], ids=["hm-z", "hm-slit", "start", "include", "include-empty", "hyp-lambda"])
+    def test_malformed_value_is_usage_error(self, tmp_path, capsys, sub, text):
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([sub, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestHmModes:

@@ -156,24 +156,6 @@ class TestHorodiscTangency:
 
 
 class TestDescriptors:
-    def test_riemann_pairs_roundtrip(self):
-        rng = np.random.default_rng(2)
-        zs = 0.9 * (rng.random(64) - 0.5 + 1j * (rng.random(64) - 0.5))
-        for dom in (domains.DISC, domains.RIGHT_HALF_PLANE, domains.UPPER_HALF_PLANE,
-                    SLIT_PLANE_K):
-            back = dom.to_disk(dom.from_disk(zs))
-            assert np.max(np.abs(back - zs)) < 1e-12
-
-    def test_metric_density_matches_transport(self):
-        # lambda_D(w) = lambda_disc(z) / |(from_disk)'(z)| via finite differences
-        dom = SLIT_PLANE_K
-        w = 0.7 + 0.4j
-        z = complex(slit_riemann_inv(w))
-        h = 1e-7
-        deriv = (slit_riemann(z + h) - slit_riemann(z - h)) / (2 * h)
-        expected = 1.0 / ((1.0 - abs(z) ** 2) * abs(deriv))
-        assert dom.metric_density(w) == pytest.approx(expected, rel=1e-6)
-
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError):
             SimplyConnectedDescriptor("banana")

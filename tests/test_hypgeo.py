@@ -7,11 +7,9 @@ from hypothesis import given, settings, strategies as st
 from disciter import hypgeo
 from disciter.domains import RIGHT_HALF_PLANE, SLIT_PLANE_K, dist_domain
 from disciter.errors import InvalidPointError
-from disciter.hypgeo import (BoundaryPoint, DiskPoint, HalfPlaneSector, StolzAngle,
-                             curve_length, dist_disk, dist_halfplane,
+from disciter.hypgeo import (BoundaryPoint, dist_disk, dist_halfplane,
                              distance_lemma_bounds, euclid_rate_bracket,
-                             julia_check, metric_disk, sector_halfplane_contains,
-                             stolz_contains)
+                             julia_check, metric_disk)
 
 
 # strategy: points comfortably inside the disc
@@ -105,78 +103,6 @@ class TestDistHalfplane:
             dist_halfplane(-1.0, 2.0, "right")
 
 
-class TestCurveLength:
-    def test_radius_matches_distance(self):
-        ts = np.linspace(0.0, 0.5, 10 ** 4)
-        length = curve_length("disc", ts)
-        assert length == pytest.approx(0.5 * math.log(3.0), abs=1e-6)
-
-    def test_repeated_point_zero(self):
-        assert curve_length("disc", [0.2 + 0.1j, 0.2 + 0.1j]) == 0.0
-
-    def test_semicircle_dominates_distance(self):
-        thetas = np.linspace(0.0, math.pi, 2000)
-        arc = 0.5 * np.exp(1j * thetas)
-        assert curve_length("disc", arc) >= float(dist_disk(-0.5, 0.5))
-
-    def test_monotone_under_refinement(self):
-        # straight segment, convex density: trapezoid converges from above
-        curve = lambda k: np.linspace(0.0, 0.9, k)
-        exact = math.atanh(0.9)
-        errors = [curve_length("disc", curve(k)) - exact for k in (16, 64, 4096)]
-        assert errors[0] >= errors[1] >= errors[2] >= 0.0
-        assert errors[2] < 1e-6
-
-    def test_too_few_samples(self):
-        with pytest.raises(InvalidPointError):
-            curve_length("disc", [0.1])
-
-
-class TestRegions:
-    def test_stolz_center(self):
-        s = StolzAngle(BoundaryPoint(0.0), 2.0)
-        assert stolz_contains(s, 0.0)
-
-    def test_stolz_excludes_wide_angle(self):
-        s = StolzAngle(BoundaryPoint(0.0), 2.0)
-        z = 0.99 * np.exp(1j * 1.0)  # ratio |1-z|/(1-|z|) is large here
-        assert not stolz_contains(s, z)
-
-    def test_stolz_radial(self):
-        s = StolzAngle(BoundaryPoint(0.0), 1.0001)
-        for t in (0.0, 0.5, 0.9, 0.999999):
-            assert stolz_contains(s, t)
-
-    def test_stolz_aperture_validated(self):
-        with pytest.raises(InvalidPointError):
-            StolzAngle(BoundaryPoint(0.0), 1.0)
-
-    def test_sector_aperture_closed_form(self):
-        # independent oracle: d(1, e^{i b}) = atanh(tan(b/2)), so b = 2 atan(tanh R)
-        for big_r in (0.1, 0.5, 1.0, 3.0):
-            s = HalfPlaneSector(1.0, big_r)
-            assert s.half_aperture == pytest.approx(2.0 * math.atan(math.tanh(big_r)),
-                                                    abs=1e-11)
-
-    def test_sector_membership(self):
-        s = HalfPlaneSector(1.0, 0.5)
-        assert sector_halfplane_contains(s, 2.0)  # on the geodesic
-        far_outside = 5.0 * np.exp(1j * (s.half_aperture + 0.2))  # still Re > 0
-        assert not sector_halfplane_contains(s, far_outside)
-        # disc branch: d(1, e^{1/4}) = 1/8 < R
-        assert sector_halfplane_contains(s, math.exp(0.25))
-
-    def test_sector_tail_nesting(self):
-        # membership in the larger-base tail implies membership in the smaller
-        rng = np.random.default_rng(11)
-        s_small = HalfPlaneSector(1.0, 0.8)
-        s_large = HalfPlaneSector(2.5, 0.8)
-        pts = rng.uniform(0.1, 8.0, 400) * np.exp(1j * rng.uniform(-1.4, 1.4, 400))
-        inside_large = sector_halfplane_contains(s_large, pts)
-        inside_small = sector_halfplane_contains(s_small, pts)
-        assert np.all(~inside_large | inside_small)
-
-
 class TestSchwarzPickGenerics:
     @given(disc_points, disc_points,
            st.complex_numbers(max_magnitude=0.7, allow_nan=False, allow_infinity=False),
@@ -263,11 +189,6 @@ class TestDistanceLemma:
 
 
 class TestTypes:
-    def test_disk_point_validation(self):
-        with pytest.raises(InvalidPointError):
-            DiskPoint(1.0, 0.0)
-        assert DiskPoint(0.25, -0.5).value == 0.25 - 0.5j
-
     def test_boundary_point_wraps(self):
         bp = BoundaryPoint(2.0 * math.pi + 1.0)
         assert bp.angle == pytest.approx(1.0)

@@ -75,7 +75,7 @@ class TestEval:
         assert np.allclose(roots, 1.0)
 
     def test_registry(self):
-        assert resolve_map("hyp:3").params == (3.0,)
+        assert resolve_map("hyp:3").f_prime_tau == 1.0 / 3.0
         assert resolve_map("koebe").variant == "koebe"
         with pytest.raises(UnsupportedModelError):
             resolve_map("julia")
@@ -236,7 +236,7 @@ def _inferred_type(f, z0, n_max):
     then the step tag; also returns the step tag, f'(tau) and slope verdict."""
     orbit = iterate(f, z0, n_max + 1)
     grid = geometric_grid(n_max)
-    tag = step_series(orbit, z0, grid).tag
+    tag = step_series(orbit, grid).tag
     fprime = float(np.median(np.exp(orbit.log_julia_quotient(grid))[-5:]))
     verdict = slope_report(orbit, grid).verdict
     if fprime < 1.0 - 1e-3:

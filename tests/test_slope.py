@@ -8,8 +8,7 @@ from disciter import slope
 from disciter.errors import InvalidPointError
 from disciter.maps import (hyperbolic_automorphism, iterate, koebe_shift,
                            parabolic_automorphism, quadratic_parabolic)
-from disciter.slope import (cluster_estimate, slope_report, slope_series,
-                            tangentiality_verdict)
+from disciter.slope import cluster_estimate, slope_report, tangentiality_verdict
 from disciter.util import geometric_grid
 
 
@@ -20,23 +19,18 @@ def _hyp_start(theta):
 
 class TestSeries:
     def test_real_orbit_zero_angles(self):
-        pts = np.linspace(0.1, 0.9, 20)
-        thetas, undefined = slope_series(pts, 1.0)
-        assert np.all(thetas == 0.0)
-        assert undefined.size == 0
+        # real starts stay on the real axis, charted or composed
+        ns = np.arange(10 ** 4 + 1)
+        for f in (koebe_shift(), hyperbolic_automorphism(2.0), quadratic_parabolic()):
+            thetas = iterate(f, 0.3, int(ns[-1])).slope_angle(ns)
+            assert np.all(thetas == 0.0), f.name
 
     def test_parab_closed_form(self):
         # orbit n/(n+2i): theta_n = pi/2 - arctan(2/n)
         ns = np.arange(1, 200)
-        pts = ns / (ns + 2j)
-        thetas, _ = slope_series(pts, 1.0)
+        thetas = iterate(parabolic_automorphism(), 0.0, int(ns[-1])).slope_angle(ns)
         expected = math.pi / 2.0 - np.arctan(2.0 / ns)
         assert np.max(np.abs(thetas - expected)) < 1e-13
-
-    def test_point_at_tau_flagged(self):
-        thetas, undefined = slope_series([0.5, 1.0, 0.7], 1.0)
-        assert list(undefined) == [1]
-        assert math.isnan(thetas[1])
 
     def test_hyperbolic_limit_depends_on_start(self):
         grid = geometric_grid(10 ** 4)

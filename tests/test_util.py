@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from disciter.util import (bisect_root, format_value, geometric_grid,
-                           json_dumps, linear_fit, sample_disk, tail_fit_mask,
-                           write_csv, write_svg_series)
+from disciter.util import (format_value, geometric_grid, json_dumps, linear_fit,
+                           sample_disk, tail_fit_mask, write_csv, write_svg_series)
 
 
 class TestGrids:
@@ -50,16 +47,6 @@ class TestFits:
     def test_tail_mask_needs_two_points(self):
         with pytest.raises(ValueError):
             tail_fit_mask(np.array([5]), np.array([True]))
-
-
-class TestBisect:
-    def test_simple_root(self):
-        root = bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, tol=1e-13)
-        assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
-
-    def test_requires_sign_change(self):
-        with pytest.raises(ValueError):
-            bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class TestSampling:
