@@ -75,14 +75,20 @@ def _indices(raw):
     return np.array(sorted({int(tok) for tok in raw.split(",")}), dtype=np.int64)
 
 
+def _bool(raw):
+    """configparser's spellings of a boolean (1/yes/true/on, 0/no/false/off), in any case."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
 def _get(cfg, section, key, cast, default):
     try:
         raw = cfg[section][key]
     except KeyError:
         return default
     try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
@@ -99,11 +105,17 @@ def _resolve_map(cfg):
         if not expr:
             raise ConfigError("custom map needs custom_expr")
         import cmath as _cmath
-        code = compile(expr, "<custom_expr>", "eval")
+        try:
+            code = compile(expr, "<custom_expr>", "eval")
+        except (SyntaxError, ValueError) as exc:
+            raise ConfigError(f"custom_expr {expr!r} does not compile: {exc}") from None
 
         def func(z, _code=code):
-            return eval(_code, {"__builtins__": {}},
-                        {"z": z, "cmath": _cmath, "np": np, "abs": abs})
+            try:
+                return eval(_code, {"__builtins__": {}},
+                            {"z": z, "cmath": _cmath, "np": np, "abs": abs})
+            except (NameError, TypeError, AttributeError) as exc:
+                raise ConfigError(f"custom_expr {expr!r}: {exc}") from None
 
         return maps.custom_map(
             func,
@@ -135,14 +147,22 @@ def _outpath(args, cfg, ext):
     return os.path.join(args.out, f"{base}.{ext}")
 
 
-def _emit(args, cfg, header, columns, report_dict, svg_series=None):
+def _emit(args, cfg, csv, json, svg):
+    """Write the one artifact --format asks for.
+
+    Each builder is a zero-argument callable and only the one for
+    args.format runs: `csv` returns (header, columns), `json` the report dict
+    and `svg` the plot series (xs, ys, title, xlabel, ylabel).  The output
+    directory is made only once the builder has returned.
+    """
+    data = {"csv": csv, "json": json, "svg": svg}[args.format]()
+    path = _outpath(args, cfg, args.format)
     if args.format == "csv":
-        write_csv(_outpath(args, cfg, "csv"), header, columns)
+        write_csv(path, *data)
     elif args.format == "json":
-        write_json(_outpath(args, cfg, "json"), report_dict)
+        write_json(path, data)
     else:
-        xs, ys, title, xl, yl = svg_series
-        write_svg_series(_outpath(args, cfg, "svg"), xs, ys, title, xl, yl)
+        write_svg_series(path, *data)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +177,12 @@ def _cmd_orbit(args, cfg):
     zs, sat = orbit.disc_point(ns)
     zs = np.atleast_1d(zs)
     sat = np.atleast_1d(sat)
-    _emit(args, cfg, ["n", "re", "im", "saturated"],
-          [ns, zs.real, zs.imag, sat],
-          {"schema": "disciter/orbit/v1", "map": f.name,
-           "points": [{"n": int(n), "re": float(p.real), "im": float(p.imag),
-                       "saturated": bool(s)} for n, p, s in zip(ns, zs, sat)]},
-          (ns, np.abs(zs), f"orbit modulus: {f.name}", "n", "|f^n(z)|"))
+    _emit(args, cfg,
+          csv=lambda: (["n", "re", "im", "saturated"], [ns, zs.real, zs.imag, sat]),
+          json=lambda: {"schema": "disciter/orbit/v1", "map": f.name,
+                        "points": [{"n": int(n), "re": float(p.real), "im": float(p.imag),
+                                    "saturated": bool(s)} for n, p, s in zip(ns, zs, sat)]},
+          svg=lambda: (ns, np.abs(zs), f"orbit modulus: {f.name}", "n", "|f^n(z)|"))
     return 0
 
 
@@ -172,11 +192,10 @@ def _cmd_rate(args, cfg):
         f, _start_point(cfg), _grid(cfg, f),
         epsilon=_get(cfg, "rate", "epsilon", float, 0.5),
         lower_eps=_get(cfg, "rate", "lower_eps", float, 0.9),
-        non_tangential=_get(cfg, "rate", "non_tangential", bool, None))
-    header, cols = report.csv_columns()
-    _emit(args, cfg, header, cols, report.to_dict(),
-          (np.log(np.maximum(report.ns, 1)), report.divergence.d,
-           f"divergence rate: {f.name}", "log n", "d(z, f^n z)"))
+        non_tangential=_get(cfg, "rate", "non_tangential", _bool, None))
+    _emit(args, cfg, csv=report.csv_columns, json=report.to_dict,
+          svg=lambda: (np.log(np.maximum(report.ns, 1)), report.divergence.d,
+                       f"divergence rate: {f.name}", "log n", "d(z, f^n z)"))
     return 0
 
 
@@ -187,10 +206,9 @@ def _cmd_slope(args, cfg):
     report = slope.slope_report(orbit, ns,
                                 tail_fraction=_get(cfg, "slope", "tail_fraction",
                                                    float, 0.125))
-    header, cols = report.csv_columns()
-    _emit(args, cfg, header, cols, report.to_dict(),
-          (np.log(np.maximum(ns, 1)), report.thetas,
-           f"slope: {f.name}", "log n", "theta_n"))
+    _emit(args, cfg, csv=report.csv_columns, json=report.to_dict,
+          svg=lambda: (np.log(np.maximum(ns, 1)), report.thetas,
+                       f"slope: {f.name}", "log n", "theta_n"))
     return 0
 
 
@@ -199,13 +217,15 @@ def _cmd_qg(args, cfg):
     m_max = _get(cfg, "qg", "m_max", int, min(10 ** 4, f.n_cap - 1))
     orbit = maps.iterate(f, _start_point(cfg), m_max + 1)
     cert = qgeo.discrete_qg_fit(orbit, qgeo.PairPolicy(m_max=m_max))
-    rows = cert.pairs
-    _emit(args, cfg, ["n", "m", "sum_steps", "dist", "ratio"],
-          [[r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows],
-           [r[3] for r in rows], [r[4] for r in rows]],
-          cert.to_dict(),
-          (np.array([r[3] for r in rows]), np.array([r[2] for r in rows]),
-           f"qg pairs: {f.name}", "d(f^n, f^m)", "sum of steps"))
+
+    def col(k):
+        return [row[k] for row in cert.pairs]
+
+    _emit(args, cfg,
+          csv=lambda: (["n", "m", "sum_steps", "dist", "ratio"], [col(k) for k in range(5)]),
+          json=cert.to_dict,
+          svg=lambda: (np.array(col(3)), np.array(col(2)),
+                       f"qg pairs: {f.name}", "d(f^n, f^m)", "sum of steps"))
     return 0
 
 
@@ -213,20 +233,28 @@ def _cmd_semiflow(args, cfg):
     f = _resolve_map(cfg)
     traj = semiflow.make_trajectory(f, _start_point(cfg))
     t_max = _get(cfg, "semiflow", "t_max", float, traj.horizon)
+    if not (math.isfinite(t_max) and t_max >= 1.0):
+        raise ConfigError(f"[semiflow] t_max must be finite and >= 1, got {t_max!r}")
+    n_embed = _get(cfg, "semiflow", "n_embed", int, 10 ** 4)
+    if not 0 <= n_embed <= f.n_cap:
+        raise ConfigError(f"[semiflow] n_embed must lie in [0, {f.n_cap}], got {n_embed}")
     ts = np.arange(0.0, t_max + 0.25, 0.25)
     pts = np.atleast_1d(traj.point(ts))
-    checks = {
-        "embed": semiflow.embed_check(
-            traj, n_max=_get(cfg, "semiflow", "n_embed", int, 10 ** 4)).to_dict(),
-        "invariance": semiflow.invariance_check(traj, ts[:-4]).to_dict(),
-        "lipschitz_hyperbolic": semiflow.lipschitz_hyperbolic_check(
-            traj, [(a, b) for a, b in zip(ts[:-1:8], ts[1::8])]).to_dict(),
-        "lipschitz_euclidean": semiflow.lipschitz_euclidean_check(
-            traj, [(a, b) for a, b in zip(ts[:-1:8], ts[1::8])]).to_dict(),
-    }
-    _emit(args, cfg, ["t", "re", "im"], [ts, pts.real, pts.imag],
-          {"schema": "disciter/semiflow/v1", "map": f.name, "checks": checks},
-          (ts, np.abs(pts), f"trajectory modulus: {f.name}", "t", "|phi_t(z)|"))
+
+    def report():
+        pairs = list(zip(ts[:-1:8], ts[1::8]))
+        return {"schema": "disciter/semiflow/v1", "map": f.name, "checks": {
+            "embed": semiflow.embed_check(traj, n_max=n_embed).to_dict(),
+            "invariance": semiflow.invariance_check(traj, ts[:-4]).to_dict(),
+            "lipschitz_hyperbolic":
+                semiflow.lipschitz_hyperbolic_check(traj, pairs).to_dict(),
+            "lipschitz_euclidean":
+                semiflow.lipschitz_euclidean_check(traj, pairs).to_dict(),
+        }}
+
+    _emit(args, cfg, csv=lambda: (["t", "re", "im"], [ts, pts.real, pts.imag]),
+          json=report,
+          svg=lambda: (ts, np.abs(pts), f"trajectory modulus: {f.name}", "t", "|phi_t(z)|"))
     return 0
 
 
@@ -241,10 +269,10 @@ def _cmd_hm(args, cfg):
         t1 = _get(cfg, "hm", "theta1", float, 0.0)
         t2 = _get(cfg, "hm", "theta2", float, math.pi)
         est = harmonic.hm_disk_arc(z, t1, t2)
-        _emit(args, cfg, ["value", "method"], [[est.value], [est.method]],
-              {"schema": "disciter/hm/v1", **est.to_dict()},
-              (np.array([t1, t2]), np.array([est.value, est.value]),
-               "arc measure", "theta", "omega"))
+        _emit(args, cfg, csv=lambda: (["value", "method"], [[est.value], [est.method]]),
+              json=lambda: {"schema": "disciter/hm/v1", **est.to_dict()},
+              svg=lambda: (np.array([t1, t2]), np.array([est.value, est.value]),
+                           "arc measure", "theta", "omega"))
         return 0
     if mode == "wos":
         z = _get(cfg, "hm", "z", _complex, 0j)
@@ -252,11 +280,11 @@ def _cmd_hm(args, cfg):
         est = harmonic.hm_wos(domain, z,
                               target=_get(cfg, "hm", "target", str, "slit"),
                               n_walks=walks, eps=eps, cap=cap, seed=seed)
-        _emit(args, cfg, ["value", "se", "discards"],
-              [[est.value], [est.se], [est.discards]],
-              {"schema": "disciter/hm/v1", **est.to_dict()},
-              (np.array([0.0, 1.0]), np.array([est.value, est.value]),
-               "wos estimate", "", "omega"))
+        _emit(args, cfg,
+              csv=lambda: (["value", "se", "discards"], [[est.value], [est.se], [est.discards]]),
+              json=lambda: {"schema": "disciter/hm/v1", **est.to_dict()},
+              svg=lambda: (np.array([0.0, 1.0]), np.array([est.value, est.value]),
+                           "wos estimate", "", "omega"))
         return 0
     if mode == "tail":
         f = _resolve_map(cfg)
@@ -264,10 +292,9 @@ def _cmd_hm(args, cfg):
         result = harmonic.tail_hm_series(
             f, _start_point(cfg), ns, n_walks=walks, seed=seed,
             cut=_get(cfg, "hm", "cut", float, 1e-6), eps=eps, cap=cap)
-        header, cols = result.csv_columns()
-        _emit(args, cfg, header, cols, result.to_dict(),
-              (result.ns, result.omega * np.sqrt(result.ns.astype(float)),
-               "tail harmonic measure", "n", "omega*sqrt(n)"))
+        _emit(args, cfg, csv=result.csv_columns, json=result.to_dict,
+              svg=lambda: (result.ns, result.omega * np.sqrt(result.ns.astype(float)),
+                           "tail harmonic measure", "n", "omega*sqrt(n)"))
         return 0
     raise ConfigError(f"unknown hm mode {mode!r}")
 
@@ -278,10 +305,9 @@ def _cmd_opnorm(args, cfg):
     alpha = _get(cfg, "opnorm", "alpha", float, 0.0)
     n_max = _get(cfg, "grid", "n_max", int, 10 ** 4)
     report = opnorm.asymptotic_verdicts(f, p, alpha, n_max=n_max)
-    header, cols = report.series.csv_columns()
-    _emit(args, cfg, header, cols, report.to_dict(),
-          (np.log(np.maximum(report.series.ns, 1)), report.series.log_hardy_low,
-           f"norm bounds: {f.name}", "log n", "log lower bound"))
+    _emit(args, cfg, csv=report.series.csv_columns, json=report.to_dict,
+          svg=lambda: (np.log(np.maximum(report.series.ns, 1)), report.series.log_hardy_low,
+                       f"norm bounds: {f.name}", "log n", "log lower bound"))
     return 0
 
 

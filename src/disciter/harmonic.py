@@ -203,12 +203,13 @@ def _wos_run(domain: SlitDiskDomain, z, n_walks, eps, cap, seed, chunk=WOS_CHUNK
                 on_slit = d_slit < rho
                 rho = np.minimum(rho, d_slit)
             hit = rho < eps
-            if np.any(hit):
-                gone = idx[hit]
-                kinds[gone] = 0 if domain.empty else on_slit[hit]
-                finals[gone] = p[hit]
+            at = np.flatnonzero(hit)
+            if at.size:
+                gone = idx[at]
+                kinds[gone] = 0 if domain.empty else on_slit[at]
+                finals[gone] = p[at]
                 steps[gone] = it
-                keep = ~hit
+                keep = np.flatnonzero(~hit)
                 idx, p, rho = idx[keep], p[keep], rho[keep]
                 if idx.size == 0:
                     break

@@ -84,14 +84,20 @@ class QgCertificate:
 
 
 def _search_box(sums, dists, a_grid, b_max, slack):
-    """Lexicographically minimal (A, B) feasible on all pairs, or None."""
-    for a in a_grid:
-        need = float(np.max(sums - a * dists))
+    """Lexicographically minimal (A, B) feasible on all pairs, or None.
+
+    The need max(sums - A * dists) of every A comes from one array; each
+    entry is the same correctly rounded product and difference, and a row
+    max is exact, so each need equals the one a loop over A computes.
+    """
+    a_grid = np.asarray(a_grid, dtype=float)
+    needs = np.max(sums - np.multiply.outer(a_grid, dists), axis=1)
+    for a, need in zip(a_grid.tolist(), needs.tolist()):
         if need <= slack:
-            return float(a), 0.0
+            return a, 0.0
         b = math.ceil(need - slack)
         if b <= b_max:
-            return float(a), float(b)
+            return a, float(b)
     return None
 
 

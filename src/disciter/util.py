@@ -101,17 +101,30 @@ def format_value(x):
     return str(x)
 
 
+def _column_cells(col):
+    """format_value of each element of one column, as a list of strings.
+
+    A float64 array goes through repr of its Python floats and other numeric
+    arrays through format_value of theirs; either equals format_value of the
+    array's own elements.  Any other column is formatted element by element.
+    """
+    if isinstance(col, np.ndarray):
+        if col.dtype == np.float64:
+            return list(map(repr, col.tolist()))
+        if col.dtype.kind in "biuf":
+            col = col.tolist()
+    return list(map(format_value, col))
+
+
 def write_csv(path, header, columns):
-    """Write CSV with python repr floats; columns is a list of equal-length arrays."""
-    ncols = len(header)
-    if len(columns) != ncols:
+    """Write CSV with python repr floats; columns is a list of equal-length
+    arrays or lists (unequal lengths raise ValueError before the file opens)."""
+    if len(columns) != len(header):
         raise ValueError("header/column mismatch")
-    nrows = len(columns[0]) if ncols else 0
-    lines = [",".join(header)]
-    for i in range(nrows):
-        lines.append(",".join(format_value(col[i]) for col in columns))
+    rows = map(",".join, zip(*map(_column_cells, columns), strict=True))
+    text = "\n".join([",".join(header), *rows]) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def _jsonable(obj):

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import disciter
+from disciter import semiflow
 from disciter.cli import load_config, main
 from disciter.errors import ConfigError
 
@@ -167,6 +168,62 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+    @pytest.mark.parametrize("sub, text", [
+        ("semiflow", "[semiflow]\nt_max = -5\n"),
+        ("semiflow", "[semiflow]\nt_max = 0\n"),
+        ("semiflow", "[semiflow]\nt_max = 0.5\n"),
+        ("semiflow", "[semiflow]\nt_max = nan\n"),
+        ("semiflow", "[semiflow]\nt_max = inf\n"),
+        ("semiflow", "[semiflow]\nn_embed = -1\n"),
+        ("semiflow", "[semiflow]\nn_embed = 100000000\n"),
+        ("orbit", "[map]\nname = custom\ncustom_expr = z +\n"),
+        ("orbit", "[map]\nname = custom\ncustom_expr = q * z\n"),
+        ("orbit", "[map]\nname = custom\ncustom_expr = z(1)\n"),
+        ("orbit", "[map]\nname = custom\ncustom_expr = z.nothing\n"),
+        ("rate", "[rate]\nnon_tangential = ture\n"),
+    ], ids=["t_max-neg", "t_max-0", "t_max-half", "t_max-nan", "t_max-inf",
+            "n_embed-neg", "n_embed-huge", "expr-syntax", "expr-name", "expr-type",
+            "expr-attr", "bool-typo"])
+    def test_bad_value_exits_2_in_every_format(self, tmp_path, capsys, sub, text, fmt):
+        cfg = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main([sub, "--config", cfg, "--out", str(out), "--format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, bound", [
+        ("OFF", -0.25), ("no", -0.25), ("0", -0.25), ("False", -0.25),
+        ("Yes", -0.5), ("on", -0.5), ("1", -0.5), (" TRUE ", -0.5)])
+    def test_bool_spellings(self, tmp_path, raw, bound):
+        cfg = _write(tmp_path, BASIC + f"[rate]\nnon_tangential = {raw}\n")
+        out = tmp_path / "out"
+        assert main(["rate", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        payload = json.loads((out / "rate.json").read_text())
+        assert payload["euclidean"]["exponent_bound"] == bound
+
+    def test_semiflow_checks_run_only_for_json(self, tmp_path, monkeypatch):
+        cfg = _write(tmp_path, "[map]\nname = hyp:2\n")
+        before = tmp_path / "before"
+        for fmt in ("csv", "svg"):
+            assert main(["semiflow", "--config", cfg, "--out", str(before), "--format", fmt]) == 0
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("a semiflow check ran")
+
+        for name in ("embed_check", "invariance_check", "lipschitz_hyperbolic_check",
+                     "lipschitz_euclidean_check"):
+            monkeypatch.setattr(semiflow, name, refuse)
+        after = tmp_path / "after"
+        for fmt in ("csv", "svg"):
+            assert main(["semiflow", "--config", cfg, "--out", str(after), "--format", fmt]) == 0
+            name = f"semiflow.{fmt}"
+            assert (after / name).read_bytes() == (before / name).read_bytes()
+        with pytest.raises(RuntimeError):
+            main(["semiflow", "--config", cfg, "--out", str(after), "--format", "json"])
+        assert not (after / "semiflow.json").exists()
 
 
 class TestHmModes:

@@ -6,7 +6,8 @@ import pytest
 from disciter.errors import InvalidPointError
 from disciter.maps import (hyperbolic_automorphism, iterate, koebe_shift,
                            parabolic_automorphism, quadratic_parabolic)
-from disciter.qgeo import PairPolicy, curve_qg_check, discrete_qg_fit
+from disciter.qgeo import (A_GRID_DEFAULT, B_MAX_DEFAULT, SLACK, PairPolicy, _search_box,
+                           curve_qg_check, discrete_qg_fit)
 from disciter.semiflow import make_trajectory
 
 
@@ -84,6 +85,40 @@ class TestDiscrete:
     def test_orbit_too_short_rejected(self):
         with pytest.raises(InvalidPointError):
             discrete_qg_fit(_orbit(koebe_shift(), m_max=10), PairPolicy(m_max=100))
+
+
+class TestSearchBox:
+    @staticmethod
+    def _loop(sums, dists, a_grid, b_max, slack):
+        # the scan before the needs were computed as one array, kept as the oracle
+        for a in a_grid:
+            need = float(np.max(sums - a * dists))
+            if need <= slack:
+                return float(a), 0.0
+            b = math.ceil(need - slack)
+            if b <= b_max:
+                return float(a), float(b)
+        return None
+
+    def test_matches_loop(self):
+        rng = np.random.default_rng(7)
+        cases = []
+        for _ in range(200):
+            dists = rng.exponential(5.0, rng.integers(1, 300))
+            a0 = rng.uniform(0.5, 12.0)
+            cases.append((a0 * dists + rng.uniform(-3.0, 1500.0) * rng.random(dists.size),
+                          dists))
+        # need == slack exactly: zero distances make need = max(sums)
+        cases.append((np.array([SLACK, 0.0, -1.0]), np.zeros(3)))
+        cases.append((np.array([SLACK, 0.5]), np.array([0.0, 0.5])))
+        cases.append((np.array([B_MAX_DEFAULT + SLACK, 2.0]), np.array([0.0, 2.0])))
+        results = set()
+        for sums, dists in cases:
+            got = _search_box(sums, dists, A_GRID_DEFAULT, B_MAX_DEFAULT, SLACK)
+            want = self._loop(sums, dists, A_GRID_DEFAULT, B_MAX_DEFAULT, SLACK)
+            assert got == want
+            results.add("refuted" if got is None else "b=0" if got[1] == 0.0 else "b>0")
+        assert results == {"refuted", "b=0", "b>0"}
 
 
 class TestCurve:

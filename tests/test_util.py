@@ -87,6 +87,47 @@ class TestWriters:
         assert body.startswith("<svg") and body.rstrip().endswith("</svg>")
         assert "http" not in body.replace("http://www.w3.org/2000/svg", "")
 
+    def test_csv_matches_per_cell_loop(self, tmp_path):
+        # the writer before column-at-a-time formatting, kept as the oracle
+        def per_cell(path, header, columns):
+            nrows = len(columns[0]) if header else 0
+            lines = [",".join(header)]
+            for i in range(nrows):
+                lines.append(",".join(format_value(col[i]) for col in columns))
+            with open(path, "w", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+
+        rng = np.random.default_rng(11)
+        special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, 0.1, 1.0 / 3.0]
+        k = len(special)
+        columns = [
+            np.array(special),
+            np.arange(k, dtype=np.int64) - 3,
+            np.arange(k, dtype=np.int32),
+            np.arange(k) % 3 == 0,
+            np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-45, -1e-45, 3e38, 0.1, 1.0 / 3.0],
+                     dtype=np.float32),
+            np.array(special) + 1j * np.arange(k),
+            [True, False, 1, -2, 0.5, -0.0, np.float64(5e-324), np.int64(7), np.bool_(False),
+             "arc"],
+            list(special),
+            rng.standard_normal(k) * 10.0 ** rng.integers(-300, 300, k),
+        ]
+        header = [f"c{i}" for i in range(len(columns))]
+        for head, cols in ((header, columns), (header[:1], [np.array([])]), ([], [])):
+            new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+            write_csv(new, head, cols)
+            per_cell(old, head, cols)
+            assert new.read_bytes() == old.read_bytes()
+
+    def test_csv_unequal_columns_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError):
+            write_csv(path, ["a", "b"], [np.arange(3.0), [1, 2]])
+        with pytest.raises(ValueError):
+            write_csv(path, ["a"], [np.arange(3.0), [1, 2, 3]])
+        assert not path.exists()
+
     def test_format_value(self):
         assert format_value(np.bool_(False)) == "false"
         assert format_value(np.int64(7)) == "7"
