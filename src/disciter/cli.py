@@ -36,6 +36,8 @@ _ALLOWED_KEYS = {
     "opnorm": {"p", "alpha"},
     "output": {"basename"},
 }
+# Largest [semiflow] t_max: the time grid holds 4 t_max points.
+_T_MAX_LIMIT = 1e4
 
 
 def load_config(path):
@@ -231,13 +233,16 @@ def _cmd_qg(args, cfg):
 
 def _cmd_semiflow(args, cfg):
     f = _resolve_map(cfg)
-    traj = semiflow.make_trajectory(f, _start_point(cfg))
-    t_max = _get(cfg, "semiflow", "t_max", float, traj.horizon)
-    if not (math.isfinite(t_max) and t_max >= 1.0):
-        raise ConfigError(f"[semiflow] t_max must be finite and >= 1, got {t_max!r}")
+    t_max = _get(cfg, "semiflow", "t_max", float, None)
+    if t_max is not None and not 1.0 <= t_max <= _T_MAX_LIMIT:
+        raise ConfigError(
+            f"[semiflow] t_max must lie in [1, {_T_MAX_LIMIT:g}], got {t_max!r}")
     n_embed = _get(cfg, "semiflow", "n_embed", int, 10 ** 4)
     if not 0 <= n_embed <= f.n_cap:
         raise ConfigError(f"[semiflow] n_embed must lie in [0, {f.n_cap}], got {n_embed}")
+    traj = semiflow.make_trajectory(f, _start_point(cfg))
+    if t_max is None:
+        t_max = traj.horizon
     ts = np.arange(0.0, t_max + 0.25, 0.25)
     pts = np.atleast_1d(traj.point(ts))
 

@@ -8,13 +8,16 @@ Estimates are unbiased up to O(eps) boundary-classification error.
 
 Randomness comes from the counter-based Philox generator; walks are split
 into fixed-size chunks with independently derived substreams, so a chunk's
-walks depend only on the seed and the chunk index.
+walks depend only on the seed and the chunk index.  Chunks run on up to two
+threads, and no result depends on which thread runs which chunk.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,9 @@ WOS_EPS = 1e-4
 WOS_CAP = 10 ** 5
 WOS_CHUNK = 1 << 14
 DISCARD_FLAG_FRACTION = 0.01
+# Polyline segments per distance block: a 16,384-walk chunk's temporaries
+# then stay near 2 MB each, even with two chunks in flight.
+SEGMENT_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -156,15 +162,7 @@ class SlitDiskDomain:
         p = np.asarray(p, dtype=complex)
         if self.empty:
             return np.full(p.shape, np.inf)
-        verts = np.asarray(self.vertices, dtype=complex)
-        if verts.size == 1:
-            return np.abs(p - verts[0])
-        a = verts[:-1]
-        ab = verts[1:] - a
-        denom = np.abs(ab) ** 2
-        pc = p[..., None]
-        t = np.clip(((pc - a) * np.conj(ab)).real / denom, 0.0, 1.0)
-        return np.abs(pc - (a + t * ab)).min(axis=-1)
+        return _polyline_distance(np.asarray(self.vertices, dtype=complex), p)
 
     def contains(self, p):
         p = np.asarray(p, dtype=complex)
@@ -174,49 +172,122 @@ class SlitDiskDomain:
         return inside & (self.distance(p) > 0.0)
 
 
-def _wos_run(domain: SlitDiskDomain, z, n_walks, eps, cap, seed, chunk=WOS_CHUNK):
-    """Run walks; returns (kind, endpoint, steps) with kind 0=circle, 1=slit, -1=discard.
+def _polyline_distance(verts, p):
+    """Distance from the complex array p to the polyline through verts (size >= 1).
 
-    Walks run in chunks of `chunk`; chunk c draws from the Philox substream
-    spawned c-th from `seed`, so a chunk's walks depend only on the seed and
-    the chunk index.  Within a chunk only the live walks are kept: their
+    Segments are taken SEGMENT_BLOCK at a time, so the temporaries hold at
+    most that many distances per point; the minimum is exact, so blocking
+    does not change a bit.
+    """
+    if verts.size == 1:
+        return np.abs(p - verts[0])
+    a = verts[:-1]
+    ab = verts[1:] - a
+    denom = np.abs(ab) ** 2
+    pc = p[..., None]
+    dist = None
+    for s in range(0, a.size, SEGMENT_BLOCK):
+        sa, sab = a[s:s + SEGMENT_BLOCK], ab[s:s + SEGMENT_BLOCK]
+        t = np.clip(((pc - sa) * np.conj(sab)).real / denom[s:s + SEGMENT_BLOCK], 0.0, 1.0)
+        d = np.abs(pc - (sa + t * sab)).min(axis=-1)
+        dist = d if dist is None else np.minimum(dist, d)
+    return dist
+
+
+def _walk_chunk(out, ci, child, z, verts, eps, cap, chunk):
+    """Run the walks of chunk ci and write their slices of out = (kinds, angles, steps).
+
+    The walks are global indices ci*chunk up to the end of the chunk, drawing
+    from the Philox substream `child`.  Only the live walks are kept: their
     positions and global indices, in walk order, shrunk when walks are
     absorbed.  Each step draws rng.random(number of live walks) in walk order
     and moves p to p + rho * exp(2j pi u), so the draws a walk gets depend
     only on which walks of its chunk are still live, never on how they are
-    stored.  An empty slit has rho = 1 - |p| and absorbs on the circle
-    (kind 0).
+    stored.  With no slit (verts None) rho = 1 - |p| and walks absorb on the
+    circle (kind 0).  Only private functions are called, so a helper thread
+    running a chunk touches nothing a caller may have wrapped.
+    """
+    kinds, angles, steps = out
+    rng = np.random.Generator(np.random.Philox(child))
+    idx = np.arange(ci * chunk, min((ci + 1) * chunk, kinds.size))
+    p = np.full(idx.size, z, dtype=complex)
+    for it in range(cap):
+        rho = 1.0 - np.abs(p)
+        if verts is not None:
+            d_slit = _polyline_distance(verts, p)
+            on_slit = d_slit < rho
+            rho = np.minimum(rho, d_slit)
+        hit = rho < eps
+        at = np.flatnonzero(hit)
+        if at.size:
+            gone = idx[at]
+            kinds[gone] = 0 if verts is None else on_slit[at]
+            angles[gone] = np.angle(p[at])
+            steps[gone] = it
+            keep = np.flatnonzero(~hit)
+            idx, p, rho = idx[keep], p[keep], rho[keep]
+            if idx.size == 0:
+                break
+        u = rng.random(idx.size)
+        p = p + rho * np.exp(2j * math.pi * u)
+    steps[idx] = cap  # cap reached: discarded, kind stays -1
+
+
+def _usable_cpus():
+    """CPUs this process may run on (os.cpu_count() where affinity is not exposed)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else (os.cpu_count() or 1)
+
+
+def _wos_run(domain: SlitDiskDomain, z, n_walks, eps, cap, seed, chunk=WOS_CHUNK):
+    """Run walks; returns (kind, absorption angle, steps) per walk, with kind
+    0=circle, 1=slit, -1=discard.
+
+    Walks run in chunks of `chunk`; chunk c draws from the Philox substream
+    spawned c-th from `seed` and writes only its own slice of the outputs, so
+    a chunk's walks depend only on the seed and the chunk index.  Chunks are
+    taken in index order from one shared iterator by the calling thread and,
+    when there is more than one chunk and more than one usable CPU, by one
+    helper thread (numpy releases the interpreter lock inside its array
+    operations).  Which thread runs a chunk cannot change its bits.  The
+    helper is joined before returning, and an exception it raised is raised
+    here.
     """
     z = complex(z)
-    kinds = np.full(n_walks, -1, dtype=np.int64)
-    finals = np.zeros(n_walks, dtype=complex)
-    steps = np.zeros(n_walks, dtype=np.int64)
+    out = (np.full(n_walks, -1, dtype=np.int8), np.zeros(n_walks),
+           np.zeros(n_walks, dtype=np.int64))
+    verts = None if domain.empty else np.asarray(domain.vertices, dtype=complex)
     seeds = np.random.SeedSequence(seed).spawn(math.ceil(n_walks / chunk))
-    for ci, child in enumerate(seeds):
-        rng = np.random.Generator(np.random.Philox(child))
-        idx = np.arange(ci * chunk, min((ci + 1) * chunk, n_walks))
-        p = np.full(idx.size, z, dtype=complex)
-        for it in range(cap):
-            rho = 1.0 - np.abs(p)
-            if not domain.empty:
-                d_slit = domain.distance(p)
-                on_slit = d_slit < rho
-                rho = np.minimum(rho, d_slit)
-            hit = rho < eps
-            at = np.flatnonzero(hit)
-            if at.size:
-                gone = idx[at]
-                kinds[gone] = 0 if domain.empty else on_slit[at]
-                finals[gone] = p[at]
-                steps[gone] = it
-                keep = np.flatnonzero(~hit)
-                idx, p, rho = idx[keep], p[keep], rho[keep]
-                if idx.size == 0:
-                    break
-            u = rng.random(idx.size)
-            p = p + rho * np.exp(2j * math.pi * u)
-        steps[idx] = cap  # cap reached: discarded, kind stays -1
-    return kinds, finals, steps
+    todo = iter(range(len(seeds)))
+    errors = []
+
+    def run_chunks():
+        try:
+            for ci in todo:
+                _walk_chunk(out, ci, seeds[ci], z, verts, eps, cap, chunk)
+        except BaseException:
+            for _ in todo:  # leave the other thread no chunk to start
+                pass
+            raise
+
+    def helper_main():
+        try:
+            run_chunks()
+        except BaseException as exc:
+            errors.append(exc)
+
+    helper = None
+    if len(seeds) > 1 and _usable_cpus() > 1:
+        helper = threading.Thread(target=helper_main, name="wos-chunks", daemon=True)
+        helper.start()
+    try:
+        run_chunks()
+    finally:
+        if helper is not None:
+            helper.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def hm_wos(domain: SlitDiskDomain, z, target="slit", arc=None, n_walks=10 ** 5,
@@ -235,7 +306,7 @@ def hm_wos(domain: SlitDiskDomain, z, target="slit", arc=None, n_walks=10 ** 5,
         raise InvalidPointError("target='slit' needs a non-empty slit")
     if not np.all(domain.contains(z)):
         raise InvalidPointError("start point outside the slit domain")
-    kinds, finals, steps = _wos_run(domain, z, int(n_walks), eps, cap, seed)
+    kinds, angles, steps = _wos_run(domain, z, int(n_walks), eps, cap, seed)
     done = kinds >= 0
     n_done = int(done.sum())
     discards = int(n_walks) - n_done
@@ -247,7 +318,7 @@ def hm_wos(domain: SlitDiskDomain, z, target="slit", arc=None, n_walks=10 ** 5,
         success = kinds[done] == 0
         if arc is not None:
             t1, t2 = arc
-            ang = np.mod(np.angle(finals[done]) - t1, 2.0 * math.pi)
+            ang = np.mod(angles[done] - t1, 2.0 * math.pi)
             success = success & (ang <= (t2 - t1))
     p_hat = float(np.mean(success))
     se = math.sqrt(p_hat * (1.0 - p_hat) / n_done)

@@ -32,6 +32,7 @@ composition in one forward pass with checkpoints (_BlackBoxOrbit).
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -47,6 +48,8 @@ N_CAP_CHARTED = 10 ** 7
 N_CAP_BLACKBOX = 10 ** 6
 # Black-box orbits keep f^(jK)(z0) every K steps (see _BlackBoxOrbit).
 CHECKPOINT_SPACING = 1024
+# They also keep the points of the first SERVED_MAX distinct indices requested.
+SERVED_MAX = N_CAP_BLACKBOX // CHECKPOINT_SPACING + 1
 # How far outside the closed disc rounding may leave a black-box point.
 OUT_OF_DISC_MARGIN = 1e-9
 
@@ -497,31 +500,41 @@ class _BlackBoxOrbit(OrbitRecord):
     """Orbit by direct composition in one forward pass, with checkpoints.
 
     The record keeps f^(jK)(z0) for K = CHECKPOINT_SPACING and every j up to
-    the highest index reached: at most N_CAP_BLACKBOX / K + 1 = 977 complexes,
-    never a dense orbit.  A request is served in index order, each index
-    composed forward from the nearest stored point at or below it (the
-    previous index of the request or a checkpoint), so no index is composed
-    from f^0 twice.  Each step calls map.func on one point, exactly as a plain
-    `z = f(z)` loop does, and the running point is a Python complex at every
-    checkpoint, so f^n(z0) is always the same chain of calls from the
-    checkpoint below n: its bits do not depend on the order, repetition or
-    grouping of requests.
+    the highest index reached, and the running point at each of the first
+    SERVED_MAX distinct indices requested: at most N_CAP_BLACKBOX / K + 1 =
+    977 of each, never a dense orbit.  A request is served in index order: an
+    index served before is read back, any other is composed forward from the
+    nearest point at or below it among the previous index of the request, the
+    checkpoints and the indices served before, so no index is composed from
+    f^0 twice and a repeated grid is not composed again.  Each step calls
+    map.func on one point, exactly as a plain `z = f(z)` loop does, and the
+    running point is a Python complex at every checkpoint, so f^n(z0) is
+    always the same chain of calls from the checkpoint below n: its bits do
+    not depend on the order, repetition or grouping of requests.
 
-    The first stored point, in index order, that is non-finite or lies
-    outside the closed disc by more than OUT_OF_DISC_MARGIN raises
-    InvalidPointError naming its index; stored points are the checkpoints
-    and the requested indices.  So does a step whose evaluation raises an
-    ArithmeticError (a rule dividing by zero on its orbit).  Orbits that
-    saturate land on |z| = 1 exactly and are flagged, not raised.
+    The first stored point, in index order, that is not a number, is
+    non-finite or lies outside the closed disc by more than OUT_OF_DISC_MARGIN
+    raises InvalidPointError naming its index; stored points are the
+    checkpoints and the requested indices.  So does a step whose evaluation
+    raises an ArithmeticError (a rule dividing by zero on its orbit).  Orbits
+    that saturate land on |z| = 1 exactly and are flagged, not raised.
     """
 
     def __init__(self, map_, z0, n_max):
         super().__init__(map_, z0, n_max)
         self._marks = [self.z0]  # f^(jK)(z0), j = 0, 1, ...
+        self._served = {}  # requested index i -> running point f^i(z0)
+        self._served_at = []  # the keys of _served, ascending
 
     def _stored(self, k, z):
-        """z = f^k(z0) as a Python complex, checked to lie in the closed disc."""
-        z = complex(z)
+        """z = f^k(z0) as a Python complex, checked to be a number in the closed disc."""
+        try:
+            if isinstance(z, str):  # complex() would parse "0.5"
+                raise TypeError
+            z = complex(z)
+        except (TypeError, ValueError):
+            raise InvalidPointError(
+                f"{self.map.name} orbit: f^{k}(z0) = {z!r} is not a number") from None
         if not abs(z) <= 1.0 + OUT_OF_DISC_MARGIN:  # also false for nan and inf
             raise InvalidPointError(
                 f"{self.map.name} orbit leaves the closed disc: f^{k}(z0) = {z!r}")
@@ -548,15 +561,25 @@ class _BlackBoxOrbit(OrbitRecord):
         n = self._check(n)
         ks = np.atleast_1d(n)
         pts = np.empty(ks.shape, dtype=complex)
+        served, at = self._served, self._served_at
         k, z = 0, self.z0
         for pos in np.argsort(ks, kind="stable"):
             i = int(ks[pos])
-            j = min(i // CHECKPOINT_SPACING, len(self._marks) - 1)
-            if j * CHECKPOINT_SPACING > k:
-                k, z = j * CHECKPOINT_SPACING, self._marks[j]
-            z = self._advance(k, z, i)
+            if i in served:
+                z = served[i]
+            else:
+                j = min(i // CHECKPOINT_SPACING, len(self._marks) - 1)
+                if j * CHECKPOINT_SPACING > k:
+                    k, z = j * CHECKPOINT_SPACING, self._marks[j]
+                below = bisect.bisect(at, i) - 1
+                if below >= 0 and at[below] > k:
+                    k, z = at[below], served[at[below]]
+                z = self._advance(k, z, i)
             k = i
             pts[pos] = self._stored(i, z)
+            if i not in served and len(served) < SERVED_MAX:
+                served[i] = z
+                bisect.insort(at, i)
         return pts if np.ndim(n) else pts[0]
 
     def disc_point(self, n):

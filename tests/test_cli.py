@@ -176,16 +176,19 @@ class TestSubcommands:
         ("semiflow", "[semiflow]\nt_max = 0.5\n"),
         ("semiflow", "[semiflow]\nt_max = nan\n"),
         ("semiflow", "[semiflow]\nt_max = inf\n"),
+        ("semiflow", "[semiflow]\nt_max = 1e5\n"),
         ("semiflow", "[semiflow]\nn_embed = -1\n"),
         ("semiflow", "[semiflow]\nn_embed = 100000000\n"),
         ("orbit", "[map]\nname = custom\ncustom_expr = z +\n"),
         ("orbit", "[map]\nname = custom\ncustom_expr = q * z\n"),
         ("orbit", "[map]\nname = custom\ncustom_expr = z(1)\n"),
         ("orbit", "[map]\nname = custom\ncustom_expr = z.nothing\n"),
+        ("orbit", "[map]\nname = custom\ncustom_expr = [z]\n"),
+        ("orbit", "[map]\nname = custom\ncustom_expr = 'a'\n"),
         ("rate", "[rate]\nnon_tangential = ture\n"),
     ], ids=["t_max-neg", "t_max-0", "t_max-half", "t_max-nan", "t_max-inf",
-            "n_embed-neg", "n_embed-huge", "expr-syntax", "expr-name", "expr-type",
-            "expr-attr", "bool-typo"])
+            "t_max-huge", "n_embed-neg", "n_embed-huge", "expr-syntax", "expr-name",
+            "expr-type", "expr-attr", "expr-list", "expr-str", "bool-typo"])
     def test_bad_value_exits_2_in_every_format(self, tmp_path, capsys, sub, text, fmt):
         cfg = _write(tmp_path, text)
         out = tmp_path / "out"

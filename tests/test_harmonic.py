@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -81,6 +84,17 @@ class TestSlitDomain:
         dom = SlitDiskDomain([0.0, 0.5])
         assert dom.distance(np.array([0.25 + 0.1j]))[0] == pytest.approx(0.1)
         assert dom.distance(np.array([-0.2 + 0.0j]))[0] == pytest.approx(0.2)
+
+    def test_blocked_distance_matches_all_segments_at_once(self):
+        verts = 0.6 * np.exp(1j * np.linspace(0.0, 3.0, 4 * harmonic.SEGMENT_BLOCK + 4))
+        dom = SlitDiskDomain(verts)
+        v = np.asarray(dom.vertices, dtype=complex)
+        rng = np.random.default_rng(5)
+        p = 0.9 * np.sqrt(rng.random(4000)) * np.exp(2j * math.pi * rng.random(4000))
+        a, ab = v[:-1], v[1:] - v[:-1]
+        pc = p[:, None]
+        t = np.clip(((pc - a) * np.conj(ab)).real / np.abs(ab) ** 2, 0.0, 1.0)
+        assert np.array_equal(dom.distance(p), np.abs(pc - (a + t * ab)).min(axis=-1))
 
     def test_empty(self):
         dom = SlitDiskDomain([])
@@ -172,6 +186,98 @@ class TestWos:
         est = hm_wos(dom, 0.0, target="slit", n_walks=2000, cap=4, seed=1)
         assert est.discards > 0
         assert est.flagged
+
+
+def _chunk_outputs(n_walks):
+    """Fresh (kinds, angles, steps) arrays, as _wos_run allocates them."""
+    return (np.full(n_walks, -1, dtype=np.int8), np.zeros(n_walks),
+            np.zeros(n_walks, dtype=np.int64))
+
+
+def _both_threads(real, seen, barrier, ran=None):
+    """_walk_chunk, except that each thread's first chunk waits until two
+    threads hold one, so the helper thread is sure to run a chunk; the index
+    of each chunk run is appended to `ran`."""
+    def run(*args):
+        if threading.get_ident() not in seen:
+            seen.add(threading.get_ident())
+            barrier.wait()
+        if ran is not None:
+            ran.append(args[1])
+        real(*args)
+    return run
+
+
+class TestChunkThreads:
+    N = 3 * WOS_CHUNK + 123
+
+    def test_any_chunk_order_gives_the_same_bits(self):
+        rng = np.random.default_rng(0)
+        for verts, z in (([], 0.3 + 0.2j), ([0.4, 0.8], 0.1j)):
+            dom = SlitDiskDomain(verts)
+            ref = _wos_run(dom, z, self.N, WOS_EPS, 10 ** 5, seed=8)
+            seeds = np.random.SeedSequence(8).spawn(4)
+            arr = np.asarray(dom.vertices, dtype=complex) if verts else None
+            for order in ([3, 2, 1, 0], rng.permutation(4)):
+                out = _chunk_outputs(self.N)
+                for ci in order:
+                    harmonic._walk_chunk(out, ci, seeds[ci], z, arr, WOS_EPS, 10 ** 5,
+                                         WOS_CHUNK)
+                for got, want in zip(out, ref):
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_one_cpu_and_two_give_the_same_bits(self, monkeypatch):
+        dom = SlitDiskDomain([0.4, 0.8])
+        real, seen = harmonic._walk_chunk, set()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(harmonic, "_walk_chunk",
+                            _both_threads(real, seen, threading.Barrier(1)))
+        one = _wos_run(dom, 0.1j, self.N, WOS_EPS, 10 ** 5, seed=8)
+        assert seen == {threading.get_ident()}
+        seen.clear()
+        ran = []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(harmonic, "_walk_chunk",
+                            _both_threads(real, seen, threading.Barrier(2, timeout=60), ran))
+        two = _wos_run(dom, 0.1j, self.N, WOS_EPS, 10 ** 5, seed=8)
+        assert len(seen) == 2 and sorted(ran) == [0, 1, 2, 3]
+        for a, b in zip(one, two):
+            assert np.array_equal(a, b)
+
+    def test_small_chunks_under_fast_switching(self, monkeypatch):
+        # many chunks and a short switch interval: a chunk index lost or run
+        # twice by the shared iterator would leave or change walks
+        dom, n, chunk = SlitDiskDomain([0.4, 0.8]), 200 * 64 + 5, 64
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = _wos_run(dom, 0.1j, n, WOS_EPS, 10 ** 5, seed=9, chunk=chunk)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _wos_run(dom, 0.1j, n, WOS_EPS, 10 ** 5, seed=9, chunk=chunk)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.all(serial[2] > 0)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("side", ["main", "helper"])
+    def test_chunk_error_reaches_the_caller(self, monkeypatch, side):
+        boom, seen = RuntimeError("chunk failed"), set()
+
+        def fail_on_one_side(*args):
+            if (threading.current_thread() is threading.main_thread()) == (side == "main"):
+                raise boom
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(harmonic, "_walk_chunk", _both_threads(
+            fail_on_one_side, seen, threading.Barrier(2, timeout=60)))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            hm_wos(SlitDiskDomain([0.4, 0.8]), 0.0, n_walks=self.N, seed=1)
+        assert info.value is boom
+        assert len(seen) == 2
+        assert threading.active_count() == before
 
 
 class TestTail:

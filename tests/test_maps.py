@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from disciter import maps
+from disciter import acceptance, maps
 from disciter.errors import InvalidPointError, UnsupportedModelError
 from disciter.hypgeo import boundary_quotient, dist_disk
 from disciter.maps import (CHECKPOINT_SPACING, custom_map, eval_map,
@@ -210,6 +210,27 @@ class TestBlackBoxEngine:
         orbit.one_minus_mod(n)
         orbit.disc_point(geometric_grid(n - 1))
         assert calls[0] <= 1.05 * n
+
+    def test_criterion_05_composes_each_index_once(self, monkeypatch):
+        # criterion 05 as it runs: its repeated grids are served, not composed again
+        base, calls = quadratic_parabolic(), [0]
+
+        def counted(z):
+            calls[0] += 1
+            return base.func(z)
+
+        monkeypatch.setattr(maps, "quadratic_parabolic",
+                            lambda: dataclasses.replace(base, func=counted))
+        assert acceptance.criterion_05_quadratic_parabolic().passed
+        assert calls[0] <= 1.001 * 10 ** 6
+
+    def test_served_points_bounded(self):
+        n = 10 ** 4
+        orbit = iterate(quadratic_parabolic(), 0.0, n)
+        first, _ = orbit.disc_point(np.arange(n + 1))
+        again, _ = orbit.disc_point(np.arange(n + 1)[::-1])
+        assert len(orbit._served) == maps.SERVED_MAX < n
+        assert np.array_equal(_bits(first[::-1].copy()), _bits(again))
 
     def test_leaving_the_disc_raises_with_index(self):
         outward = custom_map(lambda z: z + 0.5)
