@@ -146,6 +146,23 @@ def criterion_06_quasi_geodesic_equivalence(seed=DEFAULT_SEED):
                             "witness_ratio": witness_ratio})
 
 
+def _slit_pairs(rng, count):
+    """The first `count` pairs (w1, w2) of distinct points of K drawn uniformly
+    from [-4, 6] x [-5, 5], in order.
+
+    Candidates are drawn as rows (Re w1, Im w1, Re w2, Im w2): the same
+    doubles, in the same order, as one rng.uniform call per coordinate.
+    """
+    kdom = domains.SLIT_PLANE_K
+    w1, w2 = np.empty(0, dtype=complex), np.empty(0, dtype=complex)
+    while w1.size < count:
+        rows = rng.uniform([-4, -5, -4, -5], [6, 5, 6, 5], size=(count - w1.size, 4))
+        c1, c2 = rows.view(complex).T
+        keep = kdom.contains(c1) & kdom.contains(c2) & (c1 != c2)
+        w1, w2 = np.concatenate([w1, c1[keep]]), np.concatenate([w2, c2[keep]])
+    return w1, w2
+
+
 def criterion_07_property_suites(seed=DEFAULT_SEED):
     rng = np.random.default_rng(seed)
     details = {}
@@ -171,21 +188,12 @@ def criterion_07_property_suites(seed=DEFAULT_SEED):
     moebius_dev = float(np.max(np.abs(hypgeo.dist_disk(mz, mw) - hypgeo.dist_disk(zs, ws))))
     details["moebius_dev"] = moebius_dev
 
-    bracket_ok = True
-    worst_low, worst_high = 0.0, 0.0
     kdom = domains.SLIT_PLANE_K
-    count = 0
-    while count < 10 ** 3:
-        w1 = complex(rng.uniform(-4, 6), rng.uniform(-5, 5))
-        w2 = complex(rng.uniform(-4, 6), rng.uniform(-5, 5))
-        if not (kdom.contains(w1) and kdom.contains(w2)) or w1 == w2:
-            continue
-        count += 1
-        lo, hi = hypgeo.distance_lemma_bounds(kdom, w1, w2)
-        exact = float(domains.dist_domain(kdom, w1, w2))
-        worst_low = max(worst_low, lo - exact)
-        if hi is not None:
-            worst_high = max(worst_high, exact - hi)
+    w1, w2 = _slit_pairs(rng, 10 ** 3)
+    lo, hi = hypgeo.distance_lemma_bounds(kdom, w1, w2)
+    exact = domains.dist_domain(kdom, w1, w2)
+    worst_low = float(np.max(lo - exact, initial=0.0))
+    worst_high = float(np.max(exact - hi, initial=0.0, where=~np.isnan(hi)))
     bracket_ok = worst_low <= 1e-9 and worst_high <= 1e-9
     details["bracket_low_overshoot"] = worst_low
     details["bracket_high_overshoot"] = worst_high

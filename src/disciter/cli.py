@@ -13,6 +13,8 @@ renderings of the primary CSV series.
 from __future__ import annotations
 
 import argparse
+import ast
+import cmath
 import configparser
 import math
 import os
@@ -38,6 +40,18 @@ _ALLOWED_KEYS = {
 }
 # Largest [semiflow] t_max: the time grid holds 4 t_max points.
 _T_MAX_LIMIT = 1e4
+# What a custom_expr may call or read besides numbers, z, + - * / **, unary
+# +- and abs(): named elementwise functions of cmath and np, and pi and e.
+_EXPR_FUNCTIONS = {
+    "cmath": {"exp", "log", "log10", "sqrt", "sin", "cos", "tan", "asin", "acos",
+              "atan", "sinh", "cosh", "tanh", "asinh", "acosh", "atanh", "phase"},
+    "np": {"exp", "log", "log10", "log2", "log1p", "expm1", "sqrt", "sin", "cos",
+           "tan", "arcsin", "arccos", "arctan", "sinh", "cosh", "tanh", "arcsinh",
+           "arccosh", "arctanh", "abs", "absolute", "conj", "conjugate", "real",
+           "imag", "angle", "square"},
+}
+_EXPR_CONSTANTS = {"pi", "e"}
+_EXPR_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub)
 
 
 def load_config(path):
@@ -57,7 +71,10 @@ def load_config(path):
         for key in parser[section]:
             if key not in _ALLOWED_KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        cfg[section] = dict(parser[section])
+        try:
+            cfg[section] = dict(parser[section])
+        except configparser.Error as exc:  # a bad %-interpolation in a value
+            raise ConfigError(f"config value error: {exc}") from exc
     return cfg
 
 
@@ -106,18 +123,22 @@ def _resolve_map(cfg):
         expr = _get(cfg, "map", "custom_expr", str, None)
         if not expr:
             raise ConfigError("custom map needs custom_expr")
-        import cmath as _cmath
         try:
-            code = compile(expr, "<custom_expr>", "eval")
-        except (SyntaxError, ValueError) as exc:
+            bad = _forbidden_node(ast.parse(expr, "<custom_expr>", mode="eval"))
+            code = None if bad else compile(expr, "<custom_expr>", "eval")
+        except (SyntaxError, ValueError, RecursionError) as exc:
             raise ConfigError(f"custom_expr {expr!r} does not compile: {exc}") from None
+        if bad is not None:
+            raise ConfigError(f"custom_expr {expr!r}: {bad} is not allowed")
 
         def func(z, _code=code):
             try:
                 return eval(_code, {"__builtins__": {}},
-                            {"z": z, "cmath": _cmath, "np": np, "abs": abs})
+                            {"z": z, "cmath": cmath, "np": np, "abs": abs})
             except (NameError, TypeError, AttributeError) as exc:
                 raise ConfigError(f"custom_expr {expr!r}: {exc}") from None
+            except ValueError as exc:  # a cmath domain error, such as cmath.log(0)
+                raise ArithmeticError(exc) from None
 
         return maps.custom_map(
             func,
@@ -127,6 +148,65 @@ def _resolve_map(cfg):
         return maps.resolve_map(name)
     except UnsupportedModelError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _forbidden_node(tree):
+    """Describe the first node of a parsed custom_expr outside its grammar, or None.
+
+    The grammar: int, float and complex numbers, the name z, + - * / ** and
+    unary +-, abs(x), and calls of the named cmath and np functions, plus
+    their pi and e.  A power of two integer-valued operands is refused too:
+    Python evaluates 9**9**9 exactly, which does not end in practice.
+    """
+    nodes = list(ast.walk(tree))  # breadth first: parents before children
+    vetted = set()  # ids of callee and module-name nodes checked with their parent
+    for node in nodes:
+        if id(node) in vetted:
+            continue
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if node.keywords:
+                return "a keyword argument"
+            if isinstance(callee, ast.Name) and callee.id == "abs":
+                vetted.add(id(callee))
+            elif _module_member(callee, _EXPR_FUNCTIONS):
+                vetted.update((id(callee), id(callee.value)))
+            else:
+                return f"calling {ast.unparse(callee)}"
+        elif isinstance(node, ast.Attribute):
+            if not _module_member(node, dict.fromkeys(_EXPR_FUNCTIONS, _EXPR_CONSTANTS)):
+                return f"reading {ast.unparse(node)}"
+            vetted.add(id(node.value))
+        elif isinstance(node, ast.Name):
+            if node.id != "z":
+                return f"the name {node.id!r}"
+        elif isinstance(node, ast.Constant):
+            if type(node.value) not in (int, float, complex):
+                return f"the constant {node.value!r}"
+        elif not isinstance(node, (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load)
+                            + _EXPR_OPERATORS):
+            return f"{type(node).__name__} syntax"
+    integer = set()  # ids of integer-valued nodes, found children first
+    for node in reversed(nodes):
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            integer.add(id(node))
+        elif isinstance(node, ast.UnaryOp) and id(node.operand) in integer:
+            integer.add(id(node))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and [id(arg) in integer for arg in node.args] == [True]):
+            integer.add(id(node))  # abs of an integer
+        elif isinstance(node, ast.BinOp) and {id(node.left), id(node.right)} <= integer:
+            if isinstance(node.op, ast.Pow):
+                return f"the integer power {ast.unparse(node)}"
+            if not isinstance(node.op, ast.Div):
+                integer.add(id(node))
+    return None
+
+
+def _module_member(node, members):
+    """Is node `module.name` with name in members[module]?"""
+    return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.attr in members.get(node.value.id, ()))
 
 
 def _start_point(cfg):

@@ -94,20 +94,23 @@ class SimplyConnectedDescriptor:
     def segment_inside(self, w1, w2):
         """Exact test that the straight segment [w1, w2] stays in the domain.
 
-        All tags except the slit plane are convex; the slit plane checks the
-        sign change of Im against the cut, which pointwise sampling would miss
-        (the slit has measure zero).
+        Elementwise on arrays.  All tags except the slit plane are convex; the
+        slit plane checks the sign change of Im against the cut, which
+        pointwise sampling would miss (the slit has measure zero).
         """
-        w1 = self._require_inside(w1, "segment_inside")
-        w2 = self._require_inside(w2, "segment_inside")
+        w1 = np.asarray(self._require_inside(w1, "segment_inside"))
+        w2 = np.asarray(self._require_inside(w2, "segment_inside"))
         if self.tag != "slit-plane-k":
-            return True
-        y1, y2 = np.imag(np.asarray(w1)), np.imag(np.asarray(w2))
-        if y1 == 0.0 or y2 == 0.0 or (y1 > 0) == (y2 > 0):
-            return True  # touches the real axis at an interior endpoint at most
-        t = y1 / (y1 - y2)
-        x_cross = (1.0 - t) * np.real(np.asarray(w1)) + t * np.real(np.asarray(w2))
-        return bool(x_cross > -1.0)
+            inside = np.ones(np.broadcast_shapes(w1.shape, w2.shape), dtype=bool)
+        else:
+            y1, y2 = np.imag(w1), np.imag(w2)
+            # touching the real axis at an interior endpoint at most
+            same_side = (y1 == 0.0) | (y2 == 0.0) | ((y1 > 0) == (y2 > 0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = y1 / (y1 - y2)
+                x_cross = (1.0 - t) * np.real(w1) + t * np.real(w2)
+            inside = same_side | (x_cross > -1.0)
+        return inside if inside.ndim else bool(inside)
 
     def boundary_distance(self, w):
         """Exact Euclidean distance to the boundary."""
@@ -141,7 +144,8 @@ def dist_domain(domain: SimplyConnectedDescriptor, w1, w2):
 
     Closed-form shortcuts are used on axes of symmetry: points of K on the
     real geodesic (-1, +inf) give d = (1/4) |log((1+b)/(1+a))|, and both
-    half-planes use their chart closed forms directly.
+    half-planes use their chart closed forms directly.  Elementwise on
+    arrays, each pair taking the branch a scalar call would.
     """
     w1 = domain._require_inside(w1, "dist_domain")
     w2 = domain._require_inside(w2, "dist_domain")
@@ -154,13 +158,22 @@ def dist_domain(domain: SimplyConnectedDescriptor, w1, w2):
         return dist_halfplane(w1, w2, "upper")
     if tag == "strip":
         raise UnsupportedModelError("strip distance is not provided")
-    both_real = (np.imag(np.asarray(w1)) == 0.0) & (np.imag(np.asarray(w2)) == 0.0)
-    if np.all(both_real):
-        a = np.real(np.asarray(w1))
-        b = np.real(np.asarray(w2))
-        out = 0.25 * np.abs(np.log1p(b) - np.log1p(a))
-        return float(out) if np.ndim(out) == 0 else out
-    return dist_disk(slit_riemann_inv(w1), slit_riemann_inv(w2))
+    both_real = (np.imag(w1) == 0.0) & (np.imag(w2) == 0.0)
+    if np.ndim(both_real) == 0:
+        if both_real:
+            return float(_real_geodesic_dist(w1, w2))
+        return dist_disk(slit_riemann_inv(w1), slit_riemann_inv(w2))
+    w1, w2 = np.broadcast_arrays(w1, w2)
+    out = np.empty(both_real.shape)
+    out[both_real] = _real_geodesic_dist(w1[both_real], w2[both_real])
+    off = ~both_real
+    out[off] = dist_disk(slit_riemann_inv(w1[off]), slit_riemann_inv(w2[off]))
+    return out
+
+
+def _real_geodesic_dist(w1, w2):
+    """Distance in K between points of the real geodesic (-1, +inf)."""
+    return 0.25 * np.abs(np.log1p(np.real(w2)) - np.log1p(np.real(w1)))
 
 
 def horodisc_tangency_ratio(level, z):

@@ -341,6 +341,14 @@ def quadratic_parabolic():
         z = complex(z)
         return (1.0 + z * z) / 2.0  # the same double as complex ** 2, one product fewer
 
+    def run(z, count):
+        """f^count(z): the scalar branch of f, count times, in one loop."""
+        z = complex(z)
+        for _ in range(count):
+            z = (1.0 + z * z) / 2.0
+        return z
+
+    f.run = run
     return ModelMap(name="quad", variant="quad", func=f,
                     tau=BoundaryPoint(0.0), f_prime_tau=1.0, chart=None,
                     non_tangential=True)
@@ -506,11 +514,18 @@ class _BlackBoxOrbit(OrbitRecord):
     index served before is read back, any other is composed forward from the
     nearest point at or below it among the previous index of the request, the
     checkpoints and the indices served before, so no index is composed from
-    f^0 twice and a repeated grid is not composed again.  Each step calls
-    map.func on one point, exactly as a plain `z = f(z)` loop does, and the
-    running point is a Python complex at every checkpoint, so f^n(z0) is
-    always the same chain of calls from the checkpoint below n: its bits do
-    not depend on the order, repetition or grouping of requests.
+    f^0 twice and a repeated grid is not composed again.  The indices and
+    points of the last request composed are kept until the next one, and a
+    request they cover is read from them.
+
+    The steps between two stored points are one call of map.func.run(z,
+    count) when the rule has that attribute, which returns f^count(z) through
+    the same chain of operations as count calls of map.func; any other rule,
+    a counting wrapper included, is called once per step, exactly as a plain
+    `z = f(z)` loop does.  The running point is a Python complex at every
+    checkpoint, so f^n(z0) is always the same chain of operations from the
+    checkpoint below n: its bits do not depend on the order, repetition or
+    grouping of requests.
 
     The first stored point, in index order, that is not a number, is
     non-finite or lies outside the closed disc by more than OUT_OF_DISC_MARGIN
@@ -525,6 +540,8 @@ class _BlackBoxOrbit(OrbitRecord):
         self._marks = [self.z0]  # f^(jK)(z0), j = 0, 1, ...
         self._served = {}  # requested index i -> running point f^i(z0)
         self._served_at = []  # the keys of _served, ascending
+        # The last request composed: its indices ascending, and their points.
+        self._kept = (np.empty(0, dtype=np.int64), np.empty(0, dtype=complex))
 
     def _stored(self, k, z):
         """z = f^k(z0) as a Python complex, checked to be a number in the closed disc."""
@@ -542,16 +559,31 @@ class _BlackBoxOrbit(OrbitRecord):
 
     def _advance(self, k, z, n):
         """f^n(z0) from z = f^k(z0), k <= n, storing every checkpoint passed."""
-        f, marks = self.map.func, self._marks
+        marks = self._marks
+        while k < n:
+            stop = min(n, (k // CHECKPOINT_SPACING + 1) * CHECKPOINT_SPACING)
+            z = self._compose(k, z, stop)
+            k = stop
+            if k == len(marks) * CHECKPOINT_SPACING:
+                z = self._stored(k, z)
+                marks.append(z)
+        return z
+
+    def _compose(self, k, z, stop):
+        """f^stop(z0) from z = f^k(z0) within one checkpoint interval: one
+        call of the rule's run(z, count) when it has one, else one call of
+        the rule per step.  A run that raises an ArithmeticError is replayed
+        a step at a time from z, so the error names the failing index."""
+        f = self.map.func
+        run = getattr(f, "run", None)
+        if run is not None:
+            try:
+                return run(z, stop - k)
+            except ArithmeticError:
+                pass
         try:
-            while k < n:
-                stop = min(n, (k // CHECKPOINT_SPACING + 1) * CHECKPOINT_SPACING)
-                for j in range(k, stop):
-                    z = f(z)
-                k = stop
-                if k == len(marks) * CHECKPOINT_SPACING:
-                    z = self._stored(k, z)
-                    marks.append(z)
+            for j in range(k, stop):
+                z = f(z)
         except ArithmeticError as exc:
             raise InvalidPointError(
                 f"{self.map.name} orbit: f^{j + 1}(z0) cannot be evaluated: {exc}") from None
@@ -560,6 +592,17 @@ class _BlackBoxOrbit(OrbitRecord):
     def _points(self, n):
         n = self._check(n)
         ks = np.atleast_1d(n)
+        kept_at, kept_pts = self._kept
+        pos = np.searchsorted(kept_at, ks).clip(max=max(kept_at.size - 1, 0))
+        if kept_at.size and np.array_equal(kept_at[pos], ks):
+            pts = kept_pts[pos]
+        else:
+            pts = self._compose_request(ks)
+            order = np.argsort(ks, kind="stable")
+            self._kept = (ks[order], pts[order])
+        return pts if np.ndim(n) else pts[0]
+
+    def _compose_request(self, ks):
         pts = np.empty(ks.shape, dtype=complex)
         served, at = self._served, self._served_at
         k, z = 0, self.z0
@@ -580,7 +623,7 @@ class _BlackBoxOrbit(OrbitRecord):
             if i not in served and len(served) < SERVED_MAX:
                 served[i] = z
                 bisect.insort(at, i)
-        return pts if np.ndim(n) else pts[0]
+        return pts
 
     def disc_point(self, n):
         z = self._points(n)
@@ -607,7 +650,11 @@ class _BlackBoxOrbit(OrbitRecord):
         return np.log(np.abs(z - self.tau))
 
     def pair_dist(self, n, m):
-        return dist_disk(self._points(n), self._points(m))
+        # One request for both ends, so each point is composed once.
+        size = np.size(n)
+        pts = self._points(np.concatenate([np.ravel(n), np.ravel(m)]))
+        return dist_disk(pts[:size].reshape(np.shape(n))[()],
+                         pts[size:].reshape(np.shape(m))[()])
 
     def dist_from_start(self, n):
         return dist_disk(self.z0, self._points(n))

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidPointError
+
 # Absolute tolerance of closed-form identities (Julia slack, semiflow checks).
 TOL_CLOSED_FORM = 1e-12
 
@@ -54,7 +56,7 @@ def linear_fit(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2:
-        raise ValueError("need at least two points to fit")
+        raise InvalidPointError("need at least two points to fit")
     coeffs, res, _, _, _ = np.polyfit(x, y, 1, full=True)
     residual = float(np.sqrt(res[0])) if res.size else 0.0
     return FitResult(slope=float(coeffs[0]), intercept=float(coeffs[1]), residual=residual)
@@ -74,7 +76,7 @@ def tail_fit_mask(ns, base):
     if mask.sum() < 2:
         idx = np.nonzero(base)[0]
         if idx.size < 2:
-            raise ValueError("need at least two admissible points to fit")
+            raise InvalidPointError("need at least two admissible points to fit")
         mask = np.zeros(base.shape, dtype=bool)
         mask[idx[-2:]] = True
     return mask

@@ -4,9 +4,20 @@ Monte Carlo criteria dominate the runtime; the whole module is sized to stay
 inside a few minutes on a laptop.
 """
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from disciter import acceptance
+from disciter.domains import SLIT_PLANE_K, dist_domain
+from disciter.hypgeo import distance_lemma_bounds
+
+# The report lines of run_all at DEFAULT_SEED, recorded before the batched
+# criterion 07 and the composition runs of black-box orbits.  Every float is
+# printed to its last bit, so a platform whose libm or numpy SIMD loops round
+# differently may need them re-recorded from an unchanged tree.
+GOLDEN = Path(__file__).with_name("accept_default_seed.txt")
 
 
 def _run(fn):
@@ -57,3 +68,47 @@ def test_criterion_10_semiflow():
 
 def test_criterion_11_operator_corollaries():
     _run(acceptance.criterion_11_operator_corollaries)
+
+
+def test_report_lines_match_golden():
+    lines = [r.line() for r in acceptance.run_all(acceptance.DEFAULT_SEED)]
+    assert lines == GOLDEN.read_text().splitlines()
+
+
+def _scalar_bracket_loop(rng):
+    """Criterion 07's bracket check as one scalar call per draw and per pair."""
+    kdom = SLIT_PLANE_K
+    pairs = []
+    worst_low, worst_high = 0.0, 0.0
+    while len(pairs) < 10 ** 3:
+        w1 = complex(rng.uniform(-4, 6), rng.uniform(-5, 5))
+        w2 = complex(rng.uniform(-4, 6), rng.uniform(-5, 5))
+        if not (kdom.contains(w1) and kdom.contains(w2)) or w1 == w2:
+            continue
+        pairs.append((w1, w2))
+        lo, hi = distance_lemma_bounds(kdom, w1, w2)
+        exact = float(dist_domain(kdom, w1, w2))
+        worst_low = max(worst_low, lo - exact)
+        if hi is not None:
+            worst_high = max(worst_high, exact - hi)
+    return pairs, worst_low, worst_high
+
+
+@pytest.mark.parametrize("seed", [20250810, 20250811, 20250900])
+def test_criterion_07_matches_scalar_loop(monkeypatch, seed):
+    seen, batched = {}, acceptance._slit_pairs
+
+    def recording(rng, count):
+        seen["state"] = rng.bit_generator.state
+        seen["pairs"] = batched(rng, count)
+        return seen["pairs"]
+
+    monkeypatch.setattr(acceptance, "_slit_pairs", recording)
+    details = acceptance.criterion_07_property_suites(seed).details
+    rng = np.random.default_rng()
+    rng.bit_generator.state = seen["state"]
+    pairs, worst_low, worst_high = _scalar_bracket_loop(rng)
+    w1, w2 = seen["pairs"]
+    assert pairs == list(zip(w1.tolist(), w2.tolist()))
+    assert repr(details["bracket_low_overshoot"]) == repr(worst_low)
+    assert repr(details["bracket_high_overshoot"]) == repr(worst_high)

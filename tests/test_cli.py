@@ -3,8 +3,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import disciter
 from disciter import semiflow
@@ -294,3 +298,77 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
+def test_custom_expr_cannot_write_files(tmp_path, monkeypatch, capsys, fmt):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, "[map]\nname = custom\n"
+                           "custom_expr = np.savetxt('pwned.txt', [1]) or (1+z*z)/2\n")
+    assert main(["orbit", "--config", cfg, "--out", "out", "--format", fmt]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not allowed" in err
+    assert sorted(os.listdir(tmp_path)) == ["exp.ini"]
+
+
+@pytest.mark.parametrize("expr", [
+    "np.zeros(2) + z", "cmath.polar(z)", "z.real", "np.exp(z, out=None)", "z // 2",
+    "(lambda: z)()", "[z][0]", "2**3 * z", "abs(-2)**2 * z", "'z'", "True * z"])
+def test_custom_expr_outside_the_grammar_is_refused(tmp_path, capsys, expr):
+    cfg = _write(tmp_path, f"[map]\nname = custom\ncustom_expr = {expr}\n")
+    assert main(["orbit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "is not allowed" in capsys.readouterr().err
+
+
+def test_percent_in_a_value_is_usage_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "[map]\nname = custom\ncustom_expr = z % 2\n")
+    assert main(["orbit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# custom_expr text: the allowed grammar, mixed with nodes it forbids
+_ALLOWED_LEAVES = ["z", "0", "1", "2", "0.5", "3.0", "0.25j", "(1+2j)", "cmath.pi", "np.e"]
+_FORBIDDEN_LEAVES = ["'a'", "[z]", "q", "z.real", "True", "None", "...", "np",
+                     "__import__('os')", "open('pwned.txt', 'w')",
+                     "np.savetxt('pwned.txt', [1])", "np.zeros", "cmath.polar"]
+_ALLOWED_UNARY = ["-{}", "+{}", "abs({})", "cmath.exp({})", "cmath.sqrt({})",
+                  "cmath.log({})", "cmath.atanh({})", "np.sin({})", "np.sqrt({})",
+                  "np.conj({})", "np.real({})", "cmath.phase({})"]
+_FORBIDDEN_UNARY = ["not {}", "~{}", "({})[0]", "np.savetxt('pwned.txt', [{}])",
+                    "(lambda: {})()", "abs(x={})", "np.exp({}, out=None)"]
+_ALLOWED_BINARY = ["+", "-", "*", "/", "**"]
+_FORBIDDEN_BINARY = ["%", "//", " or ", " and ", " < ", " if z else "]
+
+
+def _nodes(allowed, forbidden):
+    return st.one_of(*[st.sampled_from(allowed)] * 3, st.sampled_from(forbidden))
+
+
+def _extend(children):
+    unary = st.builds(str.format, _nodes(_ALLOWED_UNARY, _FORBIDDEN_UNARY), children)
+    binary = st.builds("({}){}({})".format, children,
+                       _nodes(_ALLOWED_BINARY, _FORBIDDEN_BINARY), children)
+    return unary | binary
+
+
+_EXPRESSIONS = st.recursive(_nodes(_ALLOWED_LEAVES, _FORBIDDEN_LEAVES), _extend, max_leaves=6)
+
+
+@settings(max_examples=50, deadline=None)
+@given(expr=_EXPRESSIONS, sub=st.sampled_from(["orbit", "rate", "slope"]),
+       n_max=st.integers(1, 100))
+def test_custom_expr_exits_0_or_2_and_writes_only_out(expr, sub, n_max):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("exp.ini").write_text(
+                f"[map]\nname = custom\ncustom_expr = {expr}\n[grid]\nn_max = {n_max}\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main([sub, "--config", "exp.ini", "--out", "out"])
+            assert code in (0, 2), expr
+            written = {str(p) for p in Path(".").rglob("*")}
+            assert written <= {"exp.ini", "out", f"out/{sub}.csv"}, expr
+        finally:
+            os.chdir(cwd)

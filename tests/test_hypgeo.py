@@ -187,6 +187,53 @@ class TestDistanceLemma:
         with pytest.raises(InvalidPointError):
             distance_lemma_bounds(SLIT_PLANE_K, -3.0, 1.0)
 
+    def test_arrays_match_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(7)
+        rows = rng.uniform([-4, -5, -4, -5], [6, 5, 6, 5], size=(2000, 4))
+        w1, w2 = rows.view(complex).T.copy()
+        w2[:20] = w1[:20]  # equal points
+        w1[20:40] = rng.uniform(-0.9, 6, 20)  # on the real geodesic
+        w2[30:50] = rng.uniform(-0.9, 6, 20)
+        lo, hi = distance_lemma_bounds(SLIT_PLANE_K, w1, w2)
+        exact = dist_domain(SLIT_PLANE_K, w1, w2)
+        exits = 0
+        for k in range(w1.size):
+            lo_k, hi_k = distance_lemma_bounds(SLIT_PLANE_K, complex(w1[k]), complex(w2[k]))
+            assert isinstance(lo_k, float)
+            assert np.float64(lo_k).view(np.int64) == lo[k].view(np.int64), k
+            if hi_k is None:
+                exits += 1
+                assert np.isnan(hi[k]), k
+            else:
+                assert np.float64(hi_k).view(np.int64) == hi[k].view(np.int64), k
+            exact_k = float(dist_domain(SLIT_PLANE_K, complex(w1[k]), complex(w2[k])))
+            if w1[k].imag == 0.0 and w2[k].imag == 0.0:  # the closed form, as a scalar call
+                assert exact[k] == exact_k, k
+            else:
+                assert exact[k] == pytest.approx(exact_k, rel=1e-12), k
+        assert exits > 100
+        assert np.all(lo[:20] == 0.0) and np.all(hi[:20] == 0.0)
+        # the bracket formulas, one pair at a time, for the first 50 sampled pairs
+        t = np.linspace(0.0, 1.0, 4096)
+        for k in np.flatnonzero(~np.isnan(hi) & (w1 != w2))[:50]:
+            a, b = complex(w1[k]), complex(w2[k])
+            sep = abs(a - b)
+            delta = SLIT_PLANE_K.boundary_distance
+            assert lo[k] == pytest.approx(
+                0.25 * math.log1p(sep / min(delta(a), delta(b))), rel=1e-14)
+            upper = np.trapezoid(1.0 / delta(a + t * (b - a)), dx=sep / 4095)
+            assert hi[k] == pytest.approx(upper, rel=1e-14)
+        # the lower bound is attained on the real geodesic, up to rounding
+        assert np.all(lo <= exact + 1e-12) and np.all(exact[~np.isnan(hi)] <= hi[~np.isnan(hi)])
+
+    def test_segment_inside_elementwise(self):
+        w1 = np.array([-2.0 + 1j, -2.0 + 1j, 1.0 + 1j, -0.5, -3.0 + 1j])
+        w2 = np.array([-2.0 - 1j, 3.0 - 1j, 1.0 - 1j, 5.0 + 2j, -2.0 + 2j])
+        inside = SLIT_PLANE_K.segment_inside(w1, w2)
+        assert inside.tolist() == [False, True, True, True, True]
+        assert inside.tolist() == [SLIT_PLANE_K.segment_inside(a, b) for a, b in zip(w1, w2)]
+        assert RIGHT_HALF_PLANE.segment_inside(np.array([1.0, 2.0]), 1.0 + 1j).tolist() == [True, True]
+
 
 class TestTypes:
     def test_boundary_point_wraps(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from disciter import acceptance, maps
+from disciter import acceptance, cli, maps
 from disciter.errors import InvalidPointError, UnsupportedModelError
 from disciter.hypgeo import boundary_quotient, dist_disk
 from disciter.maps import (CHECKPOINT_SPACING, custom_map, eval_map,
@@ -311,3 +311,79 @@ class TestDenjoyWolff:
             # non-strict: the scaling-chart gap underflows to 0
             assert np.all(np.diff(gaps[-20:]) <= 0.0), f.name
             assert gaps[-1] < 1e-2, f.name
+
+
+def _plain_orbit(f, z0, n):
+    """f^0(z0), ..., f^n(z0) by n calls of f, the oracle for the black-box engine."""
+    out = [complex(z0)]
+    w = z0
+    for _ in range(n):
+        w = f(w)
+        out.append(w)
+    return np.array(out)
+
+
+class TestRuns:
+    def test_quad_run_matches_per_step_calls(self):
+        f, n = quadratic_parabolic(), 10 ** 5
+        assert callable(getattr(f.func, "run", None))
+        rng = np.random.default_rng(0)  # the blackbox benchmark's starts at seed 0
+        starts = [0.0, 0.3 + 0.2j] + [
+            complex(0.9 * math.sqrt(rng.random()) * np.exp(2j * math.pi * rng.random()))
+            for _ in range(8)]
+        pick = np.random.default_rng(1)
+        for z0 in starts:
+            ref = _plain_orbit(f.func, z0, n)
+            ks = np.unique(np.concatenate([geometric_grid(n), pick.integers(0, n + 1, 200)]))
+            z, _ = iterate(f, z0, n).disc_point(ks)
+            assert np.array_equal(_bits(z), _bits(ref[ks])), z0
+            if z0 == 0.0:
+                dense, _ = iterate(f, z0, n).disc_point(np.arange(n + 1))
+                assert np.array_equal(_bits(dense), _bits(ref))
+
+    def test_counting_wrapper_is_called_once_per_step(self):
+        base, n, calls = quadratic_parabolic(), 5000, [0]
+
+        def counted(z):
+            calls[0] += 1
+            return base.func(z)
+
+        z, _ = iterate(dataclasses.replace(base, func=counted), 0.1j, n).disc_point(n)
+        assert calls[0] == n
+        assert np.array_equal(_bits(z), _bits(iterate(base, 0.1j, n).disc_point(n)[0]))
+
+    def test_run_that_divides_by_zero_names_the_index(self):
+        runs = [0]
+
+        def f(z):
+            return z + 0.125 * ((0.5 - z) / (0.5 - z))  # z + 1/8 until z = 1/2
+
+        def run(z, count):
+            runs[0] += 1
+            for _ in range(count):
+                z = f(z)
+            return z
+
+        f.run = run
+        with pytest.raises(InvalidPointError, match=r"f\^5\(z0\) cannot be evaluated"):
+            iterate(custom_map(f), 0.0, 10).disc_point(10)
+        assert runs[0] == 1
+
+    @pytest.mark.parametrize("sub, grid", [("rate", 10 ** 5), ("slope", 10 ** 5),
+                                           ("orbit", 10 ** 5), ("qg", None)])
+    def test_cli_composes_each_needed_point_once(self, tmp_path, monkeypatch, sub, grid):
+        base, calls = quadratic_parabolic(), [0]
+
+        def counted(z):
+            calls[0] += 1
+            return base.func(z)
+
+        monkeypatch.setattr(maps, "quadratic_parabolic",
+                            lambda: dataclasses.replace(base, func=counted))
+        cfg = tmp_path / "quad.ini"
+        cfg.write_text("[map]\nname = quad\n"
+                       + (f"[grid]\nn_max = {grid}\n" if grid else "[qg]\nm_max = 10000\n"))
+        assert cli.main([sub, "--config", str(cfg), "--out", str(tmp_path),
+                         "--format", "json"]) == 0
+        needed = grid or 10 ** 4  # the highest index the job reads
+        assert needed <= calls[0] <= 1.001 * needed
