@@ -225,33 +225,42 @@ def criterion_09_harmonic_measure(seed=DEFAULT_SEED):
         worst = max(worst, abs(value - wanted))
     details["arc_formula_dev"] = worst
 
+    # All 18 walk-on-spheres estimates in one batch: 10 arcs, 5 Solynin
+    # slits, 3 Koebe tails.
     empty = harmonic.SlitDiskDomain([])
     z = 0.3 + 0.2j
-    wos_ok = True
-    worst_sigma = 0.0
-    for k in range(10):
+    arcs = []
+    for _ in range(10):
         t1 = rng.uniform(0.0, 2.0 * math.pi)
         spread = rng.uniform(0.3, math.pi)
-        mc = harmonic.hm_wos(empty, z, target="circle", arc=(t1, t1 + spread),
-                             n_walks=10 ** 5, seed=seed + 7 * k)
-        ref = harmonic.hm_disk_arc(z, t1, t1 + spread).value
+        arcs.append((t1, t1 + spread))
+    ells = (0.2, 0.35, 0.5, 0.7, 0.9)
+    koebe, tail_grid = maps.koebe_shift(), [10, 100, 1000]
+    requests = [harmonic.WosRequest(empty, z, target="circle", arc=arc, n_walks=10 ** 5,
+                                    seed=seed + 7 * k) for k, arc in enumerate(arcs)]
+    requests += [harmonic.WosRequest(harmonic.SlitDiskDomain([1.0 - ell, 1.0 - 1e-9]), 0.0,
+                                     target="slit", n_walks=10 ** 5, seed=seed + 101 + j)
+                 for j, ell in enumerate(ells)]
+    requests += harmonic.tail_hm_requests(koebe, 0.0, tail_grid, n_walks=10 ** 5,
+                                          seed=seed + 1000)
+    estimates = harmonic.hm_wos_many(requests)
+
+    wos_ok = True
+    worst_sigma = 0.0
+    for (t1, t2), mc in zip(arcs, estimates[:10]):
+        ref = harmonic.hm_disk_arc(z, t1, t2).value
         sigma = abs(mc.value - ref) / mc.se if mc.se > 0 else math.inf
         worst_sigma = max(worst_sigma, sigma)
         wos_ok &= sigma <= 3.0
     details["wos_vs_quadrature_max_sigma"] = worst_sigma
 
     solynin_ok = True
-    for j, ell in enumerate((0.2, 0.35, 0.5, 0.7, 0.9)):
-        slit = harmonic.SlitDiskDomain([1.0 - ell, 1.0 - 1e-9])
-        mc = harmonic.hm_wos(slit, 0.0, target="slit", n_walks=10 ** 5,
-                             seed=seed + 101 + j)
-        diam = ell - 1e-9
-        floor = harmonic.arc_measure_from_diameter(diam).value
+    for ell, mc in zip(ells, estimates[10:15]):
+        floor = harmonic.arc_measure_from_diameter(ell - 1e-9).value
         solynin_ok &= mc.value >= floor - 3.0 * mc.se
     details["solynin_ok"] = solynin_ok
 
-    tail = harmonic.tail_hm_series(maps.koebe_shift(), 0.0, [10, 100, 1000],
-                                   n_walks=10 ** 5, seed=seed + 1000)
+    tail = harmonic.tail_hm_result(koebe, 0.0, tail_grid, estimates[15:])
     details["tail_floor_holds"] = tail.floor_holds
     details["max_omega_sqrt_n"] = tail.max_omega_sqrt_n
 

@@ -297,6 +297,8 @@ def _cmd_slope(args, cfg):
 def _cmd_qg(args, cfg):
     f = _resolve_map(cfg)
     m_max = _get(cfg, "qg", "m_max", int, min(10 ** 4, f.n_cap - 1))
+    if m_max < 1:
+        raise ConfigError(f"[qg] m_max must be >= 1, got {m_max}")
     orbit = maps.iterate(f, _start_point(cfg), m_max + 1)
     cert = qgeo.discrete_qg_fit(orbit, qgeo.PairPolicy(m_max=m_max))
 

@@ -8,17 +8,22 @@ Estimates are unbiased up to O(eps) boundary-classification error.
 
 Randomness comes from the counter-based Philox generator; walks are split
 into fixed-size chunks with independently derived substreams, so a chunk's
-walks depend only on the seed and the chunk index.  Chunks run on up to two
-threads, and no result depends on which thread runs which chunk.
+walks depend only on the seed and the chunk index.  Each chunk is reduced to
+three exact integer counts (walks done, successes, step sum), and
+hm_wos_many runs the chunks of a batch of estimates in two processes: the
+caller and, on more than one CPU, one forked worker.  No result depends on
+which process runs which chunk.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import mmap
 import os
+import signal
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +37,7 @@ WOS_CAP = 10 ** 5
 WOS_CHUNK = 1 << 14
 DISCARD_FLAG_FRACTION = 0.01
 # Polyline segments per distance block: a 16,384-walk chunk's temporaries
-# then stay near 2 MB each, even with two chunks in flight.
+# then stay near 2 MB each.
 SEGMENT_BLOCK = 8
 
 
@@ -194,23 +199,25 @@ def _polyline_distance(verts, p):
     return dist
 
 
-def _walk_chunk(out, ci, child, z, verts, eps, cap, chunk):
-    """Run the walks of chunk ci and write their slices of out = (kinds, angles, steps).
+def _walk_chunk(child, size, z, verts, eps, cap):
+    """Run `size` walks from z drawing from the Philox substream `child`;
+    returns their (kinds, angles, steps): kind 0=circle, 1=slit, -1=discard,
+    the absorption angle and the steps taken.
 
-    The walks are global indices ci*chunk up to the end of the chunk, drawing
-    from the Philox substream `child`.  Only the live walks are kept: their
-    positions and global indices, in walk order, shrunk when walks are
-    absorbed.  Each step draws rng.random(number of live walks) in walk order
-    and moves p to p + rho * exp(2j pi u), so the draws a walk gets depend
-    only on which walks of its chunk are still live, never on how they are
-    stored.  With no slit (verts None) rho = 1 - |p| and walks absorb on the
-    circle (kind 0).  Only private functions are called, so a helper thread
-    running a chunk touches nothing a caller may have wrapped.
+    Only the live walks are kept: their positions and indices, in walk order,
+    shrunk when walks are absorbed.  Each step draws rng.random(number of live
+    walks) in walk order and moves p to p + rho * exp(2j pi u), so the draws a
+    walk gets depend only on which walks of its chunk are still live, never on
+    how they are stored.  With no slit (verts None) rho = 1 - |p| and walks
+    absorb on the circle (kind 0).  Only private functions are called, so a
+    chunk run by the worker process calls nothing a caller may have wrapped.
     """
-    kinds, angles, steps = out
+    kinds = np.full(size, -1, dtype=np.int8)
+    angles = np.zeros(size)
+    steps = np.zeros(size, dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(child))
-    idx = np.arange(ci * chunk, min((ci + 1) * chunk, kinds.size))
-    p = np.full(idx.size, z, dtype=complex)
+    idx = np.arange(size)
+    p = np.full(size, z, dtype=complex)
     for it in range(cap):
         rho = 1.0 - np.abs(p)
         if verts is not None:
@@ -231,6 +238,25 @@ def _walk_chunk(out, ci, child, z, verts, eps, cap, chunk):
         u = rng.random(idx.size)
         p = p + rho * np.exp(2j * math.pi * u)
     steps[idx] = cap  # cap reached: discarded, kind stays -1
+    return kinds, angles, steps
+
+
+def _chunk_tally(req, verts, child, size):
+    """(walks done, successes, step sum over done walks) of one chunk of req.
+
+    The counts are exact integers, so sums of them over chunks reproduce
+    np.mean over the per-walk arrays bit for bit (below 2**53)."""
+    kinds, angles, steps = _walk_chunk(child, size, req.z, verts, req.eps, req.cap)
+    done = kinds >= 0
+    if req.target == "slit":
+        success = kinds[done] == 1
+    else:
+        success = kinds[done] == 0
+        if req.arc is not None:
+            t1, t2 = req.arc
+            ang = np.mod(angles[done] - t1, 2.0 * math.pi)
+            success = success & (ang <= (t2 - t1))
+    return np.count_nonzero(done), np.count_nonzero(success), steps[done].sum()
 
 
 def _usable_cpus():
@@ -239,55 +265,129 @@ def _usable_cpus():
     return len(affinity(0)) if affinity else (os.cpu_count() or 1)
 
 
-def _wos_run(domain: SlitDiskDomain, z, n_walks, eps, cap, seed, chunk=WOS_CHUNK):
-    """Run walks; returns (kind, absorption angle, steps) per walk, with kind
-    0=circle, 1=slit, -1=discard.
+def _may_fork(n_chunks):
+    """Share n_chunks with a forked worker?  Not for one chunk, on one CPU,
+    without os.fork, or while another thread is alive (it could hold a lock
+    the worker would then wait on forever)."""
+    return (n_chunks > 1 and hasattr(os, "fork") and _usable_cpus() > 1
+            and threading.active_count() == 1)
 
-    Walks run in chunks of `chunk`; chunk c draws from the Philox substream
-    spawned c-th from `seed` and writes only its own slice of the outputs, so
-    a chunk's walks depend only on the seed and the chunk index.  Chunks are
-    taken in index order from one shared iterator by the calling thread and,
-    when there is more than one chunk and more than one usable CPU, by one
-    helper thread (numpy releases the interpreter lock inside its array
-    operations).  Which thread runs a chunk cannot change its bits.  The
-    helper is joined before returning, and an exception it raised is raised
-    here.
+
+def _wos_run(requests, chunk=WOS_CHUNK):
+    """Run the walks of checked requests; returns per request an int64 array
+    with one row (walks done, successes, step sum) per chunk.
+
+    Walks run in chunks of `chunk`; chunk c of a request draws from the
+    Philox substream spawned c-th from its seed, so a chunk's walks depend
+    only on the seed and the chunk index, and each chunk is reduced to its
+    tally by the process that ran it.  The chunks of all requests are listed
+    in request order and run in this process, or split with one forked
+    worker when _may_fork allows (_run_split).  Which process runs a chunk
+    cannot change its tally.
     """
-    z = complex(z)
-    out = (np.full(n_walks, -1, dtype=np.int8), np.zeros(n_walks),
-           np.zeros(n_walks, dtype=np.int64))
-    verts = None if domain.empty else np.asarray(domain.vertices, dtype=complex)
-    seeds = np.random.SeedSequence(seed).spawn(math.ceil(n_walks / chunk))
-    todo = iter(range(len(seeds)))
-    errors = []
+    jobs, counts = [], []
+    for req in requests:
+        verts = None if req.domain.empty else np.asarray(req.domain.vertices, dtype=complex)
+        seeds = np.random.SeedSequence(req.seed).spawn(math.ceil(req.n_walks / chunk))
+        jobs += [(req, verts, s, min(chunk, req.n_walks - ci * chunk))
+                 for ci, s in enumerate(seeds)]
+        counts.append(len(seeds))
+    tallies = np.zeros((len(jobs), 3), dtype=np.int64)
+    if _may_fork(len(jobs)):
+        _run_split(jobs, tallies)
+    else:
+        for k, job in enumerate(jobs):
+            tallies[k] = _chunk_tally(*job)
+    return np.split(tallies, np.cumsum(counts)[:-1])
 
-    def run_chunks():
+
+def _run_split(jobs, tallies):
+    """Fill tallies[k] with the tally of jobs[k]: this process runs the even
+    k and one forked worker the odd k.
+
+    The worker writes its tallies into an anonymous shared mapping, 24 bytes
+    a chunk, and always leaves through os._exit.  This process always reaps
+    it: if its own chunks raise, it kills the worker first and re-raises; if
+    the worker exits nonzero, it reruns the worker's chunks itself, so a
+    real error is raised here with its own traceback.
+    """
+    theirs = range(1, len(jobs), 2)
+    with mmap.mmap(-1, 24 * len(theirs)) as shared:
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                out = np.frombuffer(shared, dtype=np.int64).reshape(-1, 3)
+                for row, k in enumerate(theirs):
+                    out[row] = _chunk_tally(*jobs[k])
+                code = 0
+            finally:
+                os._exit(code)
         try:
-            for ci in todo:
-                _walk_chunk(out, ci, seeds[ci], z, verts, eps, cap, chunk)
+            for k in range(0, len(jobs), 2):
+                tallies[k] = _chunk_tally(*jobs[k])
         except BaseException:
-            for _ in todo:  # leave the other thread no chunk to start
-                pass
+            os.kill(pid, signal.SIGKILL)
             raise
+        finally:
+            status = os.waitpid(pid, 0)[1]
+        if os.waitstatus_to_exitcode(status) == 0:
+            tallies[1::2] = np.frombuffer(shared, dtype=np.int64).reshape(-1, 3)
+            return
+    for k in theirs:
+        tallies[k] = _chunk_tally(*jobs[k])
 
-    def helper_main():
-        try:
-            run_chunks()
-        except BaseException as exc:
-            errors.append(exc)
 
-    helper = None
-    if len(seeds) > 1 and _usable_cpus() > 1:
-        helper = threading.Thread(target=helper_main, name="wos-chunks", daemon=True)
-        helper.start()
-    try:
-        run_chunks()
-    finally:
-        if helper is not None:
-            helper.join()
-    if errors:
-        raise errors[0]
-    return out
+@dataclass(frozen=True)
+class WosRequest:
+    """The arguments of one hm_wos estimate, for hm_wos_many."""
+
+    domain: SlitDiskDomain
+    z: complex
+    target: str = "slit"
+    arc: tuple | None = None
+    n_walks: int = 10 ** 5
+    eps: float = WOS_EPS
+    cap: int = WOS_CAP
+    seed: int = 0
+
+
+def _checked(req):
+    """req with z a complex and n_walks an int, once its inputs are valid."""
+    z = complex(require_in_disk(req.z, "hm_wos"))
+    if req.target not in ("slit", "circle"):
+        raise InvalidPointError("target must be 'slit' or 'circle'")
+    if req.target == "slit" and req.domain.empty:
+        raise InvalidPointError("target='slit' needs a non-empty slit")
+    if not np.all(req.domain.contains(z)):
+        raise InvalidPointError("start point outside the slit domain")
+    if int(req.n_walks) < 1:
+        raise InvalidPointError("n_walks must be at least 1")
+    return replace(req, z=z, n_walks=int(req.n_walks))
+
+
+def _estimate(req, tally):
+    n_done, successes, step_sum = (int(v) for v in tally.sum(axis=0))
+    discards = req.n_walks - n_done
+    if n_done == 0:
+        raise InvalidPointError("all walks discarded; raise the cap")
+    p_hat = successes / n_done
+    se = math.sqrt(p_hat * (1.0 - p_hat) / n_done)
+    return HmEstimate(value=p_hat, method="wos-monte-carlo", se=se,
+                      n_walks=req.n_walks, discards=discards,
+                      mean_steps=step_sum / n_done,
+                      flagged=bool(discards > DISCARD_FLAG_FRACTION * req.n_walks))
+
+
+def hm_wos_many(requests):
+    """The hm_wos estimate of each WosRequest, in order.
+
+    Every request is checked before any walk runs.  The chunks of all
+    requests share the two processes of _wos_run, so a batch keeps both CPUs
+    busy to its end; each estimate has the bits hm_wos gives it alone.
+    """
+    requests = [_checked(req) for req in requests]
+    return [_estimate(req, tally) for req, tally in zip(requests, _wos_run(requests))]
 
 
 def hm_wos(domain: SlitDiskDomain, z, target="slit", arc=None, n_walks=10 ** 5,
@@ -299,33 +399,7 @@ def hm_wos(domain: SlitDiskDomain, z, target="slit", arc=None, n_walks=10 ** 5,
     Walks exceeding the step cap are discarded and counted; the estimate is
     flagged when more than 1% are discarded.
     """
-    z = complex(require_in_disk(z, "hm_wos"))
-    if target not in ("slit", "circle"):
-        raise InvalidPointError("target must be 'slit' or 'circle'")
-    if target == "slit" and domain.empty:
-        raise InvalidPointError("target='slit' needs a non-empty slit")
-    if not np.all(domain.contains(z)):
-        raise InvalidPointError("start point outside the slit domain")
-    kinds, angles, steps = _wos_run(domain, z, int(n_walks), eps, cap, seed)
-    done = kinds >= 0
-    n_done = int(done.sum())
-    discards = int(n_walks) - n_done
-    if n_done == 0:
-        raise InvalidPointError("all walks discarded; raise the cap")
-    if target == "slit":
-        success = kinds[done] == 1
-    else:
-        success = kinds[done] == 0
-        if arc is not None:
-            t1, t2 = arc
-            ang = np.mod(angles[done] - t1, 2.0 * math.pi)
-            success = success & (ang <= (t2 - t1))
-    p_hat = float(np.mean(success))
-    se = math.sqrt(p_hat * (1.0 - p_hat) / n_done)
-    return HmEstimate(value=p_hat, method="wos-monte-carlo", se=se,
-                      n_walks=int(n_walks), discards=discards,
-                      mean_steps=float(np.mean(steps[done])) if n_done else math.nan,
-                      flagged=bool(discards > DISCARD_FLAG_FRACTION * n_walks))
+    return hm_wos_many([WosRequest(domain, z, target, arc, n_walks, eps, cap, seed)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +428,8 @@ class TailHmResult:
 def tail_slit(f: ModelMap, z, n, cut=1e-6, samples=96):
     """Polyline sampling of the flow tail {phi_t(z) : t >= n}, truncated where
     the boundary gap drops below `cut` (Hausdorff error <= cut)."""
+    if not cut > 0.0:
+        raise InvalidPointError(f"cut must be positive, got {cut!r}")
     traj = make_trajectory(f, z)
     gap_n = float(traj.boundary_gap(float(n)))
     if gap_n <= cut:
@@ -365,25 +441,36 @@ def tail_slit(f: ModelMap, z, n, cut=1e-6, samples=96):
     return SlitDiskDomain(np.atleast_1d(pts))
 
 
-def tail_hm_series(f: ModelMap, z, n_grid, n_walks=10 ** 5, seed=0, cut=1e-6,
-                   eps=WOS_EPS, cap=WOS_CAP):
-    """Monte Carlo series omega(0, tail_n, disc \\ tail_n) over the grid.
+def tail_hm_requests(f: ModelMap, z, n_grid, n_walks=10 ** 5, seed=0, cut=1e-6,
+                     eps=WOS_EPS, cap=WOS_CAP):
+    """The walk-on-spheres request of tail_hm_series for each grid index n:
+    the slit measure of the tail from n seen from 0, seed + i at the i-th."""
+    return [WosRequest(tail_slit(f, z, int(n), cut=cut), 0.0, target="slit",
+                       n_walks=n_walks, eps=eps, cap=cap, seed=seed + i)
+            for i, n in enumerate(np.asarray(n_grid, dtype=np.int64))]
+
+
+def tail_hm_result(f: ModelMap, z, n_grid, estimates):
+    """The TailHmResult of the estimates of tail_hm_requests(f, z, n_grid, ...).
 
     Asserts the two-sided sanity chain: the arcsin floor from the tail
     diameter below, boundedness of omega * sqrt(n) above.
     """
     ns = np.asarray(n_grid, dtype=np.int64)
     orbit = iterate(f, z, int(ns[-1]))
-    omega = np.zeros(ns.shape)
-    se = np.zeros(ns.shape)
-    discards = np.zeros(ns.shape, dtype=np.int64)
-    floor = np.zeros(ns.shape)
-    for i, n in enumerate(ns):
-        slit = tail_slit(f, z, int(n), cut=cut)
-        est = hm_wos(slit, 0.0, target="slit", n_walks=n_walks, eps=eps, cap=cap,
-                     seed=seed + i)
-        omega[i], se[i], discards[i] = est.value, est.se, est.discards
-        floor[i] = math.asin(min(float(orbit.dist_to_tau(int(n))), 2.0) / 2.0) / math.pi
+    omega = np.array([est.value for est in estimates])
+    se = np.array([est.se for est in estimates])
+    discards = np.array([est.discards for est in estimates], dtype=np.int64)
+    floor = np.array([math.asin(min(float(orbit.dist_to_tau(int(n))), 2.0) / 2.0) / math.pi
+                      for n in ns])
     floor_holds = bool(np.all(omega >= floor - 3.0 * se))
     max_scaled = float(np.max(omega * np.sqrt(ns.astype(float))))
     return TailHmResult(ns, omega, se, discards, floor, floor_holds, max_scaled)
+
+
+def tail_hm_series(f: ModelMap, z, n_grid, n_walks=10 ** 5, seed=0, cut=1e-6,
+                   eps=WOS_EPS, cap=WOS_CAP):
+    """Monte Carlo series omega(0, tail_n, disc \\ tail_n) over the grid, all
+    estimates in one hm_wos_many call (see tail_hm_result)."""
+    requests = tail_hm_requests(f, z, n_grid, n_walks, seed, cut, eps, cap)
+    return tail_hm_result(f, z, n_grid, hm_wos_many(requests))

@@ -205,12 +205,19 @@ def _scaling_kernel(z0, lam):
         w = np.exp(np.minimum(log_w(t), 700.0)) * cmath.exp(1j * theta)
         return np.where(sat, 1.0, _cayley_right_inv(w)), sat
 
+    def pair_dist(t, s):
+        L = np.abs(_times(s) - _times(t)) * loglam
+        if L.size > 1 and np.all(L == L.flat[0]):
+            # equal gaps, as in steps: one evaluation, broadcast
+            return np.full(L.shape, _ray_dist(L.flat[0], theta))
+        return _ray_dist(L, theta)
+
     return _Kernel(
         koenigs=lambda t: (logr0 + 1j * theta) / loglam + _times(t),
         log_gap=lambda t: math.log(2.0) - log_abs_w_plus_1(t),
         log_one_minus_mod_sq=log_one_minus_mod_sq,
         slope_angle=slope_angle,
-        pair_dist=lambda t, s: _ray_dist(np.abs(_times(s) - _times(t)) * loglam, theta),
+        pair_dist=pair_dist,
         disc_point=disc_point,
         # The scaling chart reaches the working-precision boundary near t ~ 50.
         horizon=40.0)

@@ -190,9 +190,13 @@ class TestSubcommands:
         ("orbit", "[map]\nname = custom\ncustom_expr = [z]\n"),
         ("orbit", "[map]\nname = custom\ncustom_expr = 'a'\n"),
         ("rate", "[rate]\nnon_tangential = ture\n"),
+        ("qg", "[qg]\nm_max = 0\n"),
+        ("hm", "[hm]\nmode = tail\ncut = 0\n"),
+        ("hm", "[hm]\nmode = wos\nslit = 0.4,0.8\n[wos]\nwalks = -5\n"),
     ], ids=["t_max-neg", "t_max-0", "t_max-half", "t_max-nan", "t_max-inf",
             "t_max-huge", "n_embed-neg", "n_embed-huge", "expr-syntax", "expr-name",
-            "expr-type", "expr-attr", "expr-list", "expr-str", "bool-typo"])
+            "expr-type", "expr-attr", "expr-list", "expr-str", "bool-typo", "qg-m_max-0",
+            "tail-cut-0", "wos-walks-neg"])
     def test_bad_value_exits_2_in_every_format(self, tmp_path, capsys, sub, text, fmt):
         cfg = _write(tmp_path, text)
         out = tmp_path / "out"
@@ -354,21 +358,99 @@ def _extend(children):
 _EXPRESSIONS = st.recursive(_nodes(_ALLOWED_LEAVES, _FORBIDDEN_LEAVES), _extend, max_leaves=6)
 
 
-@settings(max_examples=50, deadline=None)
-@given(expr=_EXPRESSIONS, sub=st.sampled_from(["orbit", "rate", "slope"]),
-       n_max=st.integers(1, 100))
-def test_custom_expr_exits_0_or_2_and_writes_only_out(expr, sub, n_max):
+def _exits_0_or_2_and_writes_only_out(config, sub, fmt="csv"):
+    """Run `sub` on the config text in a fresh directory; it must exit 0 or
+    2, write nothing outside out/ and leave no child process."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            Path("exp.ini").write_text(
-                f"[map]\nname = custom\ncustom_expr = {expr}\n[grid]\nn_max = {n_max}\n")
+            Path("exp.ini").write_text(config)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                code = main([sub, "--config", "exp.ini", "--out", "out"])
-            assert code in (0, 2), expr
+                code = main([sub, "--config", "exp.ini", "--out", "out", "--format", fmt])
+            assert code in (0, 2), config
             written = {str(p) for p in Path(".").rglob("*")}
-            assert written <= {"exp.ini", "out", f"out/{sub}.csv"}, expr
+            assert written <= {"exp.ini", "out", f"out/{sub}.{fmt}"}, config
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
         finally:
             os.chdir(cwd)
+
+
+@settings(max_examples=50, deadline=None)
+@given(expr=_EXPRESSIONS, sub=st.sampled_from(["orbit", "rate", "slope"]),
+       n_max=st.integers(1, 100))
+def test_custom_expr_exits_0_or_2_and_writes_only_out(expr, sub, n_max):
+    _exits_0_or_2_and_writes_only_out(
+        f"[map]\nname = custom\ncustom_expr = {expr}\n[grid]\nn_max = {n_max}\n", sub)
+
+
+def _mostly(valid, odd):
+    """Valid values about four times in five, odd (malformed or out of range)
+    ones otherwise."""
+    return st.sampled_from([valid] * 4 + [odd]).flatmap(lambda strategy: strategy)
+
+
+def _text(strategy):
+    return strategy.map(str)
+
+
+_ODD_NUMBERS = st.one_of(st.floats(-2.0, 2.0).map(repr),
+                         st.sampled_from(["nan", "inf", "-inf", "0", "1e300", "x", ""]))
+_ODD_POINTS = st.one_of(st.complex_numbers(min_magnitude=0.9, max_magnitude=1.5).map(repr),
+                        st.sampled_from(["nan", "inf", "1+", "x", ""]))
+_POINTS = _mostly(st.complex_numbers(max_magnitude=0.9).map(repr), _ODD_POINTS)
+_MAPS = _mostly(st.sampled_from(["koebe", "hyp:2", "parab-aut", "quad"]),
+                st.sampled_from(["hyp:0.5", "banana", ""]))
+_FORMATS = st.sampled_from(["csv", "json", "svg"])
+# a step cap always: the default 10**5 steps of every walk is slow when eps <= 0
+_CAPS = _text(_mostly(st.integers(20, 300), st.integers(-2, 5)))
+
+
+def _section(title, **values):
+    """An INI section of the given (key, value) pairs; None leaves a key out."""
+    lines = [f"{k} = {v}" for k, v in values.items() if v is not None]
+    return f"[{title}]\n" + "".join(line + "\n" for line in lines)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=_MAPS, start=st.none() | _POINTS, fmt=_FORMATS,
+       m_max=st.none() | _mostly(_text(st.integers(1, 300)),
+                                 _text(st.integers(-2, 0)) | st.sampled_from(["x", "1.5"])))
+def test_qg_exits_0_or_2_and_writes_only_out(name, start, fmt, m_max):
+    _exits_0_or_2_and_writes_only_out(
+        _section("map", name=name, start=start) + _section("qg", m_max=m_max), "qg", fmt)
+
+
+@settings(max_examples=40, deadline=None)
+@given(z=st.none() | _POINTS, slit=_mostly(st.lists(_POINTS, min_size=1, max_size=4),
+                                            st.just([])).map(",".join),
+       target=_mostly(st.sampled_from(["slit", "circle"]), st.sampled_from(["arc", ""])),
+       walks=_mostly(_text(st.integers(1, 2000)),
+                     _text(st.integers(-3, 0)) | st.sampled_from(["x", "1e3"])),
+       cap=_CAPS, eps=st.none() | _mostly(st.floats(1e-5, 0.1).map(repr), _ODD_NUMBERS),
+       seed=st.none() | _text(st.integers(0, 10 ** 6)), fmt=_FORMATS)
+def test_hm_wos_exits_0_or_2_and_writes_only_out(z, slit, target, walks, cap, eps, seed, fmt):
+    _exits_0_or_2_and_writes_only_out(
+        _section("hm", mode="wos", z=z, slit=slit, target=target)
+        + _section("wos", walks=walks, cap=cap, epsilon=eps, seed=seed), "hm", fmt)
+
+
+_TAIL_GRIDS = _mostly(
+    st.one_of(st.integers(1, 4).map(lambda n: {"n_max": str(n)}),
+              st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=3).map(
+                  lambda ns: {"include": ",".join(map(str, ns))})),
+    st.sampled_from([{"n_max": "0"}, {"n_max": "-1"}, {"include": "-2"}, {"include": "0,x"}]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=_mostly(st.just("koebe"), _MAPS), start=st.none() | _POINTS, grid=_TAIL_GRIDS,
+       cut=st.none() | _mostly(st.floats(1e-8, 1e-3).map(repr), _ODD_NUMBERS),
+       walks=_mostly(_text(st.integers(1, 300)), _text(st.integers(-1, 0))), cap=_CAPS,
+       fmt=_FORMATS)
+def test_hm_tail_exits_0_or_2_and_writes_only_out(name, start, grid, cut, walks, cap, fmt):
+    _exits_0_or_2_and_writes_only_out(
+        _section("map", name=name, start=start) + _section("grid", **grid)
+        + _section("hm", mode="tail", cut=cut) + _section("wos", walks=walks, cap=cap),
+        "hm", fmt)

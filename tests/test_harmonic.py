@@ -1,16 +1,17 @@
 import math
 import os
-import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from disciter import harmonic
 from disciter.errors import InvalidPointError
-from disciter.harmonic import (WOS_CHUNK, WOS_EPS, SlitDiskDomain, _wos_run,
+from disciter.harmonic import (WOS_CHUNK, SlitDiskDomain, WosRequest, _wos_run,
                                arc_diameter, arc_measure_from_diameter,
-                               hm_disk_arc, hm_wos, tail_hm_series, tail_slit)
+                               hm_disk_arc, hm_wos, hm_wos_many, tail_hm_series,
+                               tail_slit)
 from disciter.maps import koebe_shift, iterate
 
 WALKS = 2 * 10 ** 4  # module tests trade walks for speed; acceptance uses 1e5
@@ -176,10 +177,25 @@ class TestWos:
     def test_chunk_walks_independent_of_walk_count(self):
         # a chunk's walks depend only on the seed and the chunk index
         dom = SlitDiskDomain([0.4, 0.8])
-        full = _wos_run(dom, 0.1j, 2 * WOS_CHUNK + 123, WOS_EPS, 10 ** 5, seed=8)
-        first = _wos_run(dom, 0.1j, WOS_CHUNK, WOS_EPS, 10 ** 5, seed=8)
-        for a, b in zip(full, first):
-            assert np.array_equal(a[:WOS_CHUNK], b)
+        full, first = _wos_run([_request(dom, 0.1j, n_walks=2 * WOS_CHUNK + 123, seed=8),
+                                _request(dom, 0.1j, n_walks=WOS_CHUNK, seed=8)])
+        assert full.shape == (3, 3) and first.shape == (1, 3)
+        assert np.array_equal(full[0], first[0])
+        assert full[:, 0].sum() == 2 * WOS_CHUNK + 123  # no walk of a chunk discarded
+
+    def test_requests_checked_before_any_walk(self, monkeypatch):
+        def no_walks(*args):
+            raise AssertionError("a walk ran")
+
+        monkeypatch.setattr(harmonic, "_walk_chunk", no_walks)
+        dom = SlitDiskDomain([0.4, 0.8])
+        good = WosRequest(dom, 0.0, n_walks=3 * WOS_CHUNK)
+        for bad in (WosRequest(dom, 1.5), WosRequest(dom, 0.0, target="arc"),
+                    WosRequest(SlitDiskDomain([]), 0.0), WosRequest(dom, 0.6),
+                    WosRequest(dom, 0.0, n_walks=0), WosRequest(dom, 0.0, n_walks=-5)):
+            with pytest.raises(InvalidPointError):
+                hm_wos_many([good, good, bad])
+        assert hm_wos_many([]) == []
 
     def test_discard_accounting(self):
         dom = SlitDiskDomain([0.4, 0.8])
@@ -188,96 +204,163 @@ class TestWos:
         assert est.flagged
 
 
-def _chunk_outputs(n_walks):
-    """Fresh (kinds, angles, steps) arrays, as _wos_run allocates them."""
-    return (np.full(n_walks, -1, dtype=np.int8), np.zeros(n_walks),
-            np.zeros(n_walks, dtype=np.int64))
+def _request(domain, z, **kwargs):
+    """A checked WosRequest, as _wos_run takes it."""
+    return harmonic._checked(WosRequest(domain, z, **kwargs))
 
 
-def _both_threads(real, seen, barrier, ran=None):
-    """_walk_chunk, except that each thread's first chunk waits until two
-    threads hold one, so the helper thread is sure to run a chunk; the index
-    of each chunk run is appended to `ran`."""
-    def run(*args):
-        if threading.get_ident() not in seen:
-            seen.add(threading.get_ident())
-            barrier.wait()
-        if ran is not None:
-            ran.append(args[1])
-        real(*args)
-    return run
+def _fork_counter(monkeypatch):
+    """Make os.fork count its calls in the returned list."""
+    calls, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
+    return calls
+
+
+def _no_child_left(threads_before):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads_before
+
+
+# the batch of test_batch_equals_one_cpu_runs: an arc, a radial slit and the
+# zigzag whose step cap discards walks
+_BATCH = [
+    WosRequest(SlitDiskDomain([]), 0.3 + 0.2j, target="circle", arc=(0.7, 2.4),
+               n_walks=2 * WOS_CHUNK + 123, seed=2025),
+    WosRequest(SlitDiskDomain([0.4, 0.8]), 0.0, n_walks=WOS_CHUNK + 7, seed=2026),
+    WosRequest(SlitDiskDomain([-0.7, -0.5 + 0.2j, -0.3, -0.1 + 0.2j]), -0.4 - 0.3j,
+               cap=40, n_walks=2 * WOS_CHUNK + 123, seed=2027),
+    WosRequest(SlitDiskDomain([0.4, 0.8]), 0.1j, target="circle", n_walks=500, seed=2028),
+]
 
 
 class TestChunkThreads:
+    """Chunks split between the calling process and one forked worker."""
+
     N = 3 * WOS_CHUNK + 123
 
     def test_any_chunk_order_gives_the_same_bits(self):
         rng = np.random.default_rng(0)
         for verts, z in (([], 0.3 + 0.2j), ([0.4, 0.8], 0.1j)):
             dom = SlitDiskDomain(verts)
-            ref = _wos_run(dom, z, self.N, WOS_EPS, 10 ** 5, seed=8)
+            req = _request(dom, z, target="circle", arc=(0.5, 2.0), n_walks=self.N, seed=8)
+            (ref,) = _wos_run([req])
             seeds = np.random.SeedSequence(8).spawn(4)
             arr = np.asarray(dom.vertices, dtype=complex) if verts else None
+            sizes = [WOS_CHUNK] * 3 + [123]
             for order in ([3, 2, 1, 0], rng.permutation(4)):
-                out = _chunk_outputs(self.N)
-                for ci in order:
-                    harmonic._walk_chunk(out, ci, seeds[ci], z, arr, WOS_EPS, 10 ** 5,
-                                         WOS_CHUNK)
-                for got, want in zip(out, ref):
-                    assert got.dtype == want.dtype and np.array_equal(got, want)
+                got = {ci: harmonic._chunk_tally(req, arr, seeds[ci], sizes[ci])
+                       for ci in order}
+                assert np.array_equal([got[ci] for ci in range(4)], ref)
 
     def test_one_cpu_and_two_give_the_same_bits(self, monkeypatch):
-        dom = SlitDiskDomain([0.4, 0.8])
-        real, seen = harmonic._walk_chunk, set()
+        threads = threading.active_count()
+        forks = _fork_counter(monkeypatch)
+        req = _request(SlitDiskDomain([0.4, 0.8]), 0.1j, n_walks=self.N, seed=8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        monkeypatch.setattr(harmonic, "_walk_chunk",
-                            _both_threads(real, seen, threading.Barrier(1)))
-        one = _wos_run(dom, 0.1j, self.N, WOS_EPS, 10 ** 5, seed=8)
-        assert seen == {threading.get_ident()}
-        seen.clear()
-        ran = []
+        (one,) = _wos_run([req])
+        assert forks == []
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(harmonic, "_walk_chunk",
-                            _both_threads(real, seen, threading.Barrier(2, timeout=60), ran))
-        two = _wos_run(dom, 0.1j, self.N, WOS_EPS, 10 ** 5, seed=8)
-        assert len(seen) == 2 and sorted(ran) == [0, 1, 2, 3]
-        for a, b in zip(one, two):
-            assert np.array_equal(a, b)
+        (two,) = _wos_run([req])
+        assert forks == [1]
+        _no_child_left(threads)
+        assert one.dtype == two.dtype == np.int64 and np.array_equal(one, two)
 
-    def test_small_chunks_under_fast_switching(self, monkeypatch):
-        # many chunks and a short switch interval: a chunk index lost or run
-        # twice by the shared iterator would leave or change walks
-        dom, n, chunk = SlitDiskDomain([0.4, 0.8]), 200 * 64 + 5, 64
+    def test_batch_equals_one_cpu_runs(self, monkeypatch):
+        threads = threading.active_count()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = _wos_run(dom, 0.1j, n, WOS_EPS, 10 ** 5, seed=9, chunk=chunk)
+        alone = [hm_wos(r.domain, r.z, r.target, r.arc, r.n_walks, r.eps, r.cap, r.seed)
+                 for r in _BATCH]
+        assert alone[2].discards > 0 and alone[0].discards == 0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = _wos_run(dom, 0.1j, n, WOS_EPS, 10 ** 5, seed=9, chunk=chunk)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.all(serial[2] > 0)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a, b)
+        forks = _fork_counter(monkeypatch)
+        batch = hm_wos_many(_BATCH)
+        assert forks == [1]
+        _no_child_left(threads)
+        assert batch == alone
+        # the pinned bits of TestWos hold for the batch too
+        assert (batch[0].value, batch[0].se, batch[0].discards, batch[0].mean_steps) == (
+            0.3509774710407102, 0.002631667199056441, 0, 12.760846432154693)
+        assert (batch[2].value, batch[2].se, batch[2].discards, batch[2].mean_steps) == (
+            0.4386057319907049, 0.0027620911927290323, 616, 14.042106893880712)
+
+    def test_small_chunks_split_between_processes(self, monkeypatch):
+        # many chunks and an odd count: a chunk lost or run twice in the
+        # split would leave or change walks
+        threads = threading.active_count()
+        req = _request(SlitDiskDomain([0.4, 0.8]), 0.1j, n_walks=201 * 64 + 5, seed=9)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        (serial,) = _wos_run([req], chunk=64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        forks = _fork_counter(monkeypatch)
+        (split,) = _wos_run([req], chunk=64)
+        assert forks == [1]
+        _no_child_left(threads)
+        assert serial.shape == (202, 3) and serial[:, 0].sum() == req.n_walks
+        assert np.array_equal(serial, split)
+
+    def test_failing_worker_gives_the_same_estimates(self, monkeypatch):
+        threads = threading.active_count()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        want = hm_wos_many(_BATCH)
+        parent, real = os.getpid(), harmonic._walk_chunk
+
+        def fail_in_worker(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failed")
+            return real(*args)
+
+        monkeypatch.setattr(harmonic, "_walk_chunk", fail_in_worker)
+        forks = _fork_counter(monkeypatch)
+        assert hm_wos_many(_BATCH) == want
+        assert forks == [1]
+        _no_child_left(threads)
 
     @pytest.mark.parametrize("side", ["main", "helper"])
     def test_chunk_error_reaches_the_caller(self, monkeypatch, side):
-        boom, seen = RuntimeError("chunk failed"), set()
+        # "main": the caller's first chunk raises while the worker sleeps, so
+        # only a kill ends the worker in time; "helper": the last chunk, the
+        # worker's, raises in the worker and again when the caller reruns it
+        boom, real = RuntimeError("chunk failed"), harmonic._walk_chunk
+        parent = os.getpid()
 
-        def fail_on_one_side(*args):
-            if (threading.current_thread() is threading.main_thread()) == (side == "main"):
+        def fail_on_one_side(child, size, *args):
+            if side == "main":
+                if os.getpid() == parent:
+                    raise boom
+                time.sleep(60)
+            elif size == 123:
                 raise boom
+            return real(child, size, *args)
 
+        threads = threading.active_count()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(harmonic, "_walk_chunk", _both_threads(
-            fail_on_one_side, seen, threading.Barrier(2, timeout=60)))
-        before = threading.active_count()
+        monkeypatch.setattr(harmonic, "_walk_chunk", fail_on_one_side)
+        forks = _fork_counter(monkeypatch)
+        start = time.monotonic()
         with pytest.raises(RuntimeError) as info:
             hm_wos(SlitDiskDomain([0.4, 0.8]), 0.0, n_walks=self.N, seed=1)
+        assert time.monotonic() - start < 30
         assert info.value is boom
-        assert len(seen) == 2
-        assert threading.active_count() == before
+        assert forks == [1]
+        _no_child_left(threads)
+
+    def test_no_fork_while_another_thread_is_alive(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked with another thread alive")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        want = hm_wos_many(_BATCH[:2])
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            got = hm_wos_many(_BATCH[:2])
+        finally:
+            release.set()
+            other.join()
+        assert got == want
 
 
 class TestTail:

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -163,6 +164,30 @@ class TestIterate:
         prefix = orbit.steps_prefix(100)
         assert prefix[0] == 0.0
         assert prefix[100] == pytest.approx(float(orbit.dist_from_start(100)), abs=1e-12)
+
+    def test_hyp_equal_gaps_evaluated_once(self, monkeypatch):
+        # steps on a hyperbolic orbit share one gap: one _ray_dist point, and
+        # the same bits as evaluating every gap
+        real, points = maps._ray_dist, []
+
+        def counting(L, theta):
+            points.append(np.size(L))
+            return real(L, theta)
+
+        n = np.arange(10 ** 4)
+        for lam, z in ((2.0, 0.0), (1.5, 0.3 + 0.2j), (7.0, 0.9 - 0.1j)):
+            orbit = iterate(hyperbolic_automorphism(lam), z, 10 ** 4 + 1)
+            theta = cmath.phase((1 + orbit.z0) / (1 - orbit.z0))
+            want = real(np.full(n.shape, math.log(lam)), theta)
+            monkeypatch.setattr(maps, "_ray_dist", counting)
+            points.clear()
+            got, prefix = orbit.step(n), orbit.steps_prefix(10 ** 4)
+            assert points == [1, 1]
+            monkeypatch.setattr(maps, "_ray_dist", real)
+            assert got.shape == n.shape and np.array_equal(got, want)
+            assert np.array_equal(prefix[1:], np.cumsum(want))
+            assert orbit.pair_dist(np.array([0, 3]), np.array([5, 4])).tolist() == [
+                real(5 * math.log(lam), theta), real(math.log(lam), theta)]
 
 
 def _bits(z):
