@@ -212,55 +212,69 @@ def criterion_08_internal_tangency(seed=DEFAULT_SEED):
                            {"max_gap_ratio": float(np.max(gaps * 10.0 ** ks))})
 
 
-def criterion_09_harmonic_measure(seed=DEFAULT_SEED):
+# Criterion 09's walk-on-spheres inputs: the start of the arc estimates, the
+# Solynin slit lengths and the Koebe tail grid.
+_ARC_START = 0.3 + 0.2j
+_SOLYNIN_ELLS = (0.2, 0.35, 0.5, 0.7, 0.9)
+_TAIL_GRID = [10, 100, 1000]
+
+
+def _start_criterion_09(seed):
+    """Criterion 09's random draws, in its order, and its walks, started:
+    (the 100 (theta1, spread) pairs of the arc-formula check, the 10 arcs,
+    the WosBatch of all 18 walk-on-spheres estimates: the 10 arcs, 5 Solynin
+    slits and 3 Koebe tails)."""
     rng = np.random.default_rng(seed)
-    details = {}
-
-    worst = 0.0
-    for _ in range(100):
-        t1 = rng.uniform(0.0, 2.0 * math.pi)
-        spread = rng.uniform(1e-3, math.pi)
-        value = harmonic.hm_disk_arc(0.0, t1, t1 + spread).value
-        wanted = harmonic.arc_measure_from_diameter(harmonic.arc_diameter(t1, t1 + spread)).value
-        worst = max(worst, abs(value - wanted))
-    details["arc_formula_dev"] = worst
-
-    # All 18 walk-on-spheres estimates in one batch: 10 arcs, 5 Solynin
-    # slits, 3 Koebe tails.
-    empty = harmonic.SlitDiskDomain([])
-    z = 0.3 + 0.2j
+    formula = [(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(1e-3, math.pi))
+               for _ in range(100)]
     arcs = []
     for _ in range(10):
         t1 = rng.uniform(0.0, 2.0 * math.pi)
         spread = rng.uniform(0.3, math.pi)
         arcs.append((t1, t1 + spread))
-    ells = (0.2, 0.35, 0.5, 0.7, 0.9)
-    koebe, tail_grid = maps.koebe_shift(), [10, 100, 1000]
-    requests = [harmonic.WosRequest(empty, z, target="circle", arc=arc, n_walks=10 ** 5,
-                                    seed=seed + 7 * k) for k, arc in enumerate(arcs)]
+    empty = harmonic.SlitDiskDomain([])
+    requests = [harmonic.WosRequest(empty, _ARC_START, target="circle", arc=arc,
+                                    n_walks=10 ** 5, seed=seed + 7 * k)
+                for k, arc in enumerate(arcs)]
     requests += [harmonic.WosRequest(harmonic.SlitDiskDomain([1.0 - ell, 1.0 - 1e-9]), 0.0,
                                      target="slit", n_walks=10 ** 5, seed=seed + 101 + j)
-                 for j, ell in enumerate(ells)]
-    requests += harmonic.tail_hm_requests(koebe, 0.0, tail_grid, n_walks=10 ** 5,
-                                          seed=seed + 1000)
-    estimates = harmonic.hm_wos_many(requests)
+                 for j, ell in enumerate(_SOLYNIN_ELLS)]
+    requests += harmonic.tail_hm_requests(maps.koebe_shift(), 0.0, _TAIL_GRID,
+                                          n_walks=10 ** 5, seed=seed + 1000)
+    return formula, arcs, harmonic.WosBatch(requests)
+
+
+def criterion_09_harmonic_measure(seed=DEFAULT_SEED, started=None):
+    """`started` is _start_criterion_09(seed) when run_all has begun the
+    walks already; otherwise they start here."""
+    formula, arcs, batch = started or _start_criterion_09(seed)
+    details = {}
+
+    with batch:
+        worst = 0.0
+        for t1, spread in formula:
+            value = harmonic.hm_disk_arc(0.0, t1, t1 + spread).value
+            wanted = harmonic.arc_measure_from_diameter(harmonic.arc_diameter(t1, t1 + spread)).value
+            worst = max(worst, abs(value - wanted))
+        details["arc_formula_dev"] = worst
+        estimates = batch.collect()
 
     wos_ok = True
     worst_sigma = 0.0
     for (t1, t2), mc in zip(arcs, estimates[:10]):
-        ref = harmonic.hm_disk_arc(z, t1, t2).value
+        ref = harmonic.hm_disk_arc(_ARC_START, t1, t2).value
         sigma = abs(mc.value - ref) / mc.se if mc.se > 0 else math.inf
         worst_sigma = max(worst_sigma, sigma)
         wos_ok &= sigma <= 3.0
     details["wos_vs_quadrature_max_sigma"] = worst_sigma
 
     solynin_ok = True
-    for ell, mc in zip(ells, estimates[10:15]):
+    for ell, mc in zip(_SOLYNIN_ELLS, estimates[10:15]):
         floor = harmonic.arc_measure_from_diameter(ell - 1e-9).value
         solynin_ok &= mc.value >= floor - 3.0 * mc.se
     details["solynin_ok"] = solynin_ok
 
-    tail = harmonic.tail_hm_result(koebe, 0.0, tail_grid, estimates[15:])
+    tail = harmonic.tail_hm_result(maps.koebe_shift(), 0.0, _TAIL_GRID, estimates[15:])
     details["tail_floor_holds"] = tail.floor_holds
     details["max_omega_sqrt_n"] = tail.max_omega_sqrt_n
 
@@ -333,4 +347,14 @@ ALL_CRITERIA = [
 
 
 def run_all(seed=DEFAULT_SEED):
-    return [fn(seed) for fn in ALL_CRITERIA]
+    """Every criterion's result, in ALL_CRITERIA order.
+
+    Criterion 09's walks start first, so where a WosBatch forks its worker
+    they run while the other criteria do; criterion 09 then collects them in
+    its turn.  If any criterion raises, the worker is killed and reaped
+    before the error propagates.
+    """
+    started = _start_criterion_09(seed)
+    with started[2]:
+        return [fn(seed, started) if fn is criterion_09_harmonic_measure else fn(seed)
+                for fn in ALL_CRITERIA]

@@ -391,6 +391,8 @@ def _cmd_opnorm(args, cfg):
     p = _get(cfg, "opnorm", "p", float, 2.0)
     alpha = _get(cfg, "opnorm", "alpha", float, 0.0)
     n_max = _get(cfg, "grid", "n_max", int, 10 ** 4)
+    if not 1 <= n_max <= f.n_cap:
+        raise ConfigError(f"[grid] n_max must lie in [1, {f.n_cap}], got {n_max}")
     report = opnorm.asymptotic_verdicts(f, p, alpha, n_max=n_max)
     _emit(args, cfg, csv=report.series.csv_columns, json=report.to_dict,
           svg=lambda: (np.log(np.maximum(report.series.ns, 1)), report.series.log_hardy_low,

@@ -9,10 +9,12 @@ Estimates are unbiased up to O(eps) boundary-classification error.
 Randomness comes from the counter-based Philox generator; walks are split
 into fixed-size chunks with independently derived substreams, so a chunk's
 walks depend only on the seed and the chunk index.  Each chunk is reduced to
-three exact integer counts (walks done, successes, step sum), and
-hm_wos_many runs the chunks of a batch of estimates in two processes: the
-caller and, on more than one CPU, one forked worker.  No result depends on
-which process runs which chunk.
+three exact integer counts (walks done, successes, step sum).  A WosBatch
+starts the walks of a batch of estimates when it is made: on more than one
+CPU, one forked worker takes chunks from the back of the batch while the
+caller is free for other work, and collect() takes them from the front until
+the two meet.  hm_wos_many is a batch started and collected at once.  No
+result depends on which process runs which chunk.
 """
 
 from __future__ import annotations
@@ -273,74 +275,9 @@ def _may_fork(n_chunks):
             and threading.active_count() == 1)
 
 
-def _wos_run(requests, chunk=WOS_CHUNK):
-    """Run the walks of checked requests; returns per request an int64 array
-    with one row (walks done, successes, step sum) per chunk.
-
-    Walks run in chunks of `chunk`; chunk c of a request draws from the
-    Philox substream spawned c-th from its seed, so a chunk's walks depend
-    only on the seed and the chunk index, and each chunk is reduced to its
-    tally by the process that ran it.  The chunks of all requests are listed
-    in request order and run in this process, or split with one forked
-    worker when _may_fork allows (_run_split).  Which process runs a chunk
-    cannot change its tally.
-    """
-    jobs, counts = [], []
-    for req in requests:
-        verts = None if req.domain.empty else np.asarray(req.domain.vertices, dtype=complex)
-        seeds = np.random.SeedSequence(req.seed).spawn(math.ceil(req.n_walks / chunk))
-        jobs += [(req, verts, s, min(chunk, req.n_walks - ci * chunk))
-                 for ci, s in enumerate(seeds)]
-        counts.append(len(seeds))
-    tallies = np.zeros((len(jobs), 3), dtype=np.int64)
-    if _may_fork(len(jobs)):
-        _run_split(jobs, tallies)
-    else:
-        for k, job in enumerate(jobs):
-            tallies[k] = _chunk_tally(*job)
-    return np.split(tallies, np.cumsum(counts)[:-1])
-
-
-def _run_split(jobs, tallies):
-    """Fill tallies[k] with the tally of jobs[k]: this process runs the even
-    k and one forked worker the odd k.
-
-    The worker writes its tallies into an anonymous shared mapping, 24 bytes
-    a chunk, and always leaves through os._exit.  This process always reaps
-    it: if its own chunks raise, it kills the worker first and re-raises; if
-    the worker exits nonzero, it reruns the worker's chunks itself, so a
-    real error is raised here with its own traceback.
-    """
-    theirs = range(1, len(jobs), 2)
-    with mmap.mmap(-1, 24 * len(theirs)) as shared:
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                out = np.frombuffer(shared, dtype=np.int64).reshape(-1, 3)
-                for row, k in enumerate(theirs):
-                    out[row] = _chunk_tally(*jobs[k])
-                code = 0
-            finally:
-                os._exit(code)
-        try:
-            for k in range(0, len(jobs), 2):
-                tallies[k] = _chunk_tally(*jobs[k])
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            status = os.waitpid(pid, 0)[1]
-        if os.waitstatus_to_exitcode(status) == 0:
-            tallies[1::2] = np.frombuffer(shared, dtype=np.int64).reshape(-1, 3)
-            return
-    for k in theirs:
-        tallies[k] = _chunk_tally(*jobs[k])
-
-
 @dataclass(frozen=True)
 class WosRequest:
-    """The arguments of one hm_wos estimate, for hm_wos_many."""
+    """The arguments of one hm_wos estimate, for WosBatch and hm_wos_many."""
 
     domain: SlitDiskDomain
     z: complex
@@ -379,15 +316,140 @@ def _estimate(req, tally):
                       flagged=bool(discards > DISCARD_FLAG_FRACTION * req.n_walks))
 
 
-def hm_wos_many(requests):
-    """The hm_wos estimate of each WosRequest, in order.
+class WosBatch:
+    """The walks of a list of WosRequest, begun when the batch is made.
 
-    Every request is checked before any walk runs.  The chunks of all
-    requests share the two processes of _wos_run, so a batch keeps both CPUs
-    busy to its end; each estimate has the bits hm_wos gives it alone.
+    Every request is checked first, before any walk runs.  The chunks of all
+    requests are listed in request order; chunk c of a request draws from the
+    Philox substream spawned c-th from its seed, so a chunk's walks depend
+    only on the seed and the chunk index, and the process that runs a chunk
+    reduces it to its tally.  When _may_fork allows, one os.fork()ed worker
+    starts at once and takes chunks from the back of the list while the
+    caller goes on with other work; collect() then takes chunks from the
+    front in the calling process until the two meet.  Otherwise collect()
+    runs every chunk here.  Which process runs a chunk cannot change its
+    tally, so each estimate has the bits hm_wos gives it alone.
+
+    Use it as a context manager, or call collect(): either way the worker is
+    reaped, and leaving the block before collect() kills it first.
     """
-    requests = [_checked(req) for req in requests]
-    return [_estimate(req, tally) for req, tally in zip(requests, _wos_run(requests))]
+
+    def __init__(self, requests, chunk=WOS_CHUNK):
+        self.requests = [_checked(req) for req in requests]
+        self._jobs, counts = [], []
+        for req in self.requests:
+            verts = None if req.domain.empty else np.asarray(req.domain.vertices, dtype=complex)
+            seeds = np.random.SeedSequence(req.seed).spawn(math.ceil(req.n_walks / chunk))
+            self._jobs += [(req, verts, s, min(chunk, req.n_walks - ci * chunk))
+                           for ci, s in enumerate(seeds)]
+            counts.append(len(seeds))
+        self._splits = np.cumsum(counts)[:-1]
+        self._pid = None
+        if _may_fork(len(self._jobs)):
+            self._start_worker()
+
+    def _start_worker(self):
+        """Fork the worker.  It shares a board with this process: the cursors
+        (chunks the caller has claimed, first chunk the worker has claimed),
+        then per chunk a done flag and the tally, 32 bytes a chunk.  The
+        worker always leaves through os._exit."""
+        n = len(self._jobs)
+        self._board = np.frombuffer(mmap.mmap(-1, 8 * (2 + 4 * n)), dtype=np.int64)
+        self._board[:2] = 0, n
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                _work_from_back(self._jobs, self._board)
+                code = 0
+            finally:
+                os._exit(code)
+        self._pid = pid
+
+    def _tallies(self):
+        """Per request an int64 array with one row (walks done, successes,
+        step sum) per chunk.
+
+        The caller claims chunks from the front: it announces chunk k in its
+        cursor, then runs it unless the worker has claimed k.  The worker does
+        the same from the back, so at most the chunk where they meet runs
+        twice, with the same tally.  Once the caller stops it reaps the
+        worker and reruns every chunk the worker left without a done flag; a
+        worker that failed, or was killed, thus costs time but no walks, and
+        a real error is raised here with its own traceback.  If a chunk of
+        the caller raises, the worker is killed and reaped before it
+        propagates.
+        """
+        jobs = self._jobs
+        tallies = np.zeros((len(jobs), 3), dtype=np.int64)
+        left = range(len(jobs))
+        if self._pid is not None:
+            cursors, rows = self._board[:2], self._board[2:].reshape(-1, 4)
+            mine = 0
+            try:
+                while True:
+                    cursors[0] = mine + 1
+                    if mine >= cursors[1]:
+                        break
+                    tallies[mine] = _chunk_tally(*jobs[mine])
+                    mine += 1
+            except BaseException:
+                os.kill(self._pid, signal.SIGKILL)
+                raise
+            finally:
+                self._reap()
+            tallies[mine:] = rows[mine:, 1:]
+            left = mine + np.flatnonzero(rows[mine:, 0] == 0)
+        for k in left:
+            tallies[k] = _chunk_tally(*jobs[k])
+        return np.split(tallies, self._splits)
+
+    def _reap(self):
+        pid, self._pid = self._pid, None
+        if pid is not None:
+            os.waitpid(pid, 0)
+
+    def collect(self):
+        """The hm_wos estimate of each request, in order."""
+        return [_estimate(req, tally) for req, tally in zip(self.requests, self._tallies())]
+
+    def close(self):
+        """Kill and reap the worker if it is still running; a later collect()
+        runs every chunk in this process."""
+        if self._pid is not None:
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _work_from_back(jobs, board):
+    """The worker's side of WosBatch: claim chunks from the back, announcing
+    each in the second cursor before checking the caller's, and set a chunk's
+    done flag after its tally."""
+    cursors, rows = board[:2], board[2:].reshape(-1, 4)
+    for k in range(len(jobs) - 1, -1, -1):
+        cursors[1] = k
+        if k < cursors[0]:
+            return
+        rows[k, 1:] = _chunk_tally(*jobs[k])
+        rows[k, 0] = 1
+
+
+def _wos_run(requests, chunk=WOS_CHUNK):
+    """The per-chunk tallies of WosBatch(requests, chunk), per request."""
+    with WosBatch(requests, chunk) as batch:
+        return batch._tallies()
+
+
+def hm_wos_many(requests):
+    """The hm_wos estimate of each WosRequest, in order: a WosBatch, started
+    and then collected."""
+    return WosBatch(requests).collect()
 
 
 def hm_wos(domain: SlitDiskDomain, z, target="slit", arc=None, n_walks=10 ** 5,

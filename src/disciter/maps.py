@@ -349,8 +349,18 @@ def quadratic_parabolic():
         return (1.0 + z * z) / 2.0  # the same double as complex ** 2, one product fewer
 
     def run(z, count):
-        """f^count(z): the scalar branch of f, count times, in one loop."""
+        """f^count(z): the scalar branch of f, count times, in one loop.
+
+        On a complex whose imaginary part is a zero, each step rounds the
+        real part as the float step does and leaves the imaginary part the
+        zero the first step gives, so real starts loop in floats."""
         z = complex(z)
+        if z.imag == 0.0 and count > 0:
+            z = (1.0 + z * z) / 2.0
+            x = z.real
+            for _ in range(count - 1):
+                x = (1.0 + x * x) / 2.0
+            return complex(x, z.imag)
         for _ in range(count):
             z = (1.0 + z * z) / 2.0
         return z

@@ -24,12 +24,21 @@ from .maps import HYPERBOLIC, ModelMap, iterate
 from .util import FitResult, geometric_grid, linear_fit, tail_fit_mask
 
 
+def _require_p(p):
+    if not (math.isfinite(p) and p >= 1.0):
+        raise InvalidPointError(f"need a finite p >= 1, got {p!r}")
+
+
+def _require_alpha(alpha):
+    if not (math.isfinite(alpha) and alpha > -1.0):
+        raise InvalidPointError(f"need a finite alpha > -1, got {alpha!r}")
+
+
 def hardy_bounds(mod_f0, p):
     """Two-sided Hardy-norm bounds from m = |f(0)|."""
     if not 0.0 <= mod_f0 < 1.0:
         raise InvalidPointError("need |f(0)| in [0, 1)")
-    if not p >= 1.0:
-        raise InvalidPointError("need p >= 1")
+    _require_p(p)
     low = (1.0 / ((1.0 - mod_f0) * (1.0 + mod_f0))) ** (1.0 / p)
     high = ((1.0 + mod_f0) / (1.0 - mod_f0)) ** (1.0 / p)
     return low, high
@@ -37,8 +46,7 @@ def hardy_bounds(mod_f0, p):
 
 def bergman_bounds(mod_f0, p, alpha):
     """Weighted-Bergman bounds: the Hardy bounds raised to exponent (2+alpha)."""
-    if not alpha > -1.0:
-        raise InvalidPointError("need alpha > -1")
+    _require_alpha(alpha)
     low, high = hardy_bounds(mod_f0, p)
     return low ** (2.0 + alpha), high ** (2.0 + alpha)
 
@@ -63,7 +71,10 @@ class NormBoundSeries:
 
 
 def norm_bound_series(f: ModelMap, p, alpha, n_grid=None):
-    """Bound series along the orbit of 0, computed in log space."""
+    """Bound series along the orbit of 0, computed in log space; p must be
+    a finite p >= 1 and alpha a finite alpha > -1, as for the plain bounds."""
+    _require_p(p)
+    _require_alpha(alpha)
     if n_grid is None:
         n_grid = geometric_grid(min(10 ** 4, f.n_cap - 1))
     ns = np.asarray(n_grid, dtype=np.int64)

@@ -4,12 +4,15 @@ Monte Carlo criteria dominate the runtime; the whole module is sized to stay
 inside a few minutes on a laptop.
 """
 
+import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from disciter import acceptance
+from disciter import acceptance, harmonic
 from disciter.domains import SLIT_PLANE_K, dist_domain
 from disciter.hypgeo import distance_lemma_bounds
 
@@ -73,6 +76,56 @@ def test_criterion_11_operator_corollaries():
 def test_report_lines_match_golden():
     lines = [r.line() for r in acceptance.run_all(acceptance.DEFAULT_SEED)]
     assert lines == GOLDEN.read_text().splitlines()
+
+
+def _forks(monkeypatch):
+    """Make os.fork count its calls in the returned list."""
+    calls, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
+    return calls
+
+
+def test_run_all_lines_equal_on_one_cpu_and_two(monkeypatch):
+    # on one CPU criterion 09 walks in its turn; on two its worker starts
+    # before criterion 01
+    forks = _forks(monkeypatch)
+    seed = 20250814
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one = [r.line() for r in acceptance.run_all(seed)]
+    assert forks == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    two = [r.line() for r in acceptance.run_all(seed)]
+    assert forks == [1]
+    assert one == two and len(one) == len(acceptance.ALL_CRITERIA)
+
+
+def test_criterion_error_kills_the_walking_worker(monkeypatch):
+    # the worker sleeps in its first chunk, so only a kill ends it in time
+    boom, parent, real = RuntimeError("criterion failed"), os.getpid(), harmonic._walk_chunk
+
+    def asleep_in_worker(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real(*args)
+
+    def failing(seed):
+        raise boom
+
+    threads = threading.active_count()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(harmonic, "_walk_chunk", asleep_in_worker)
+    criteria = list(acceptance.ALL_CRITERIA)
+    criteria[4] = failing
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", criteria)
+    forks = _forks(monkeypatch)
+    start = time.monotonic()
+    with pytest.raises(RuntimeError) as info:
+        acceptance.run_all(acceptance.DEFAULT_SEED)
+    assert time.monotonic() - start < 30
+    assert info.value is boom and forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads
 
 
 def _scalar_bracket_loop(rng):

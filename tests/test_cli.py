@@ -131,6 +131,18 @@ class TestSubcommands:
         header = (out / "opnorm.csv").read_text().splitlines()[0]
         assert header == "n,mod_f0,hardy_lo,hardy_hi,bergman_lo,bergman_hi"
 
+    @pytest.mark.parametrize("section, line", [
+        ("opnorm", "p = nan"), ("opnorm", "p = 0"), ("opnorm", "p = -1"),
+        ("opnorm", "p = inf"), ("opnorm", "alpha = -5"), ("opnorm", "alpha = nan"),
+        ("opnorm", "alpha = inf"), ("grid", "n_max = 0"), ("grid", "n_max = -3"),
+        ("grid", "n_max = 10000001")])
+    def test_opnorm_bad_value_exits_2(self, tmp_path, capsys, section, line):
+        cfg = _write(tmp_path, f"[map]\nname = koebe\n[{section}]\n{line}\n")
+        out = tmp_path / "out"
+        assert main(["opnorm", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_custom_map(self, tmp_path, capsys):
         cfg = _write(tmp_path, "[map]\nname = custom\ncustom_expr = (1 + z*z)/2\n"
                                "[grid]\ninclude = 0,1,2\n")
@@ -297,11 +309,14 @@ class TestImport:
         assert "RuntimeWarning" not in out.stderr
 
     def test_cli_import_leaves_scipy_out(self):
-        code = "import sys, disciter.cli; print('scipy' in sys.modules)"
+        # nor multiprocessing or concurrent.futures: the walk-on-spheres
+        # worker is a bare os.fork, which import time does not pay for
+        heavy = ["scipy", "multiprocessing", "concurrent.futures"]
+        code = f"import sys, disciter.cli; print([m for m in {heavy!r} if m in sys.modules])"
         src = os.path.dirname(os.path.dirname(disciter.__file__))
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "svg"])
@@ -454,3 +469,32 @@ def test_hm_tail_exits_0_or_2_and_writes_only_out(name, start, grid, cut, walks,
         _section("map", name=name, start=start) + _section("grid", **grid)
         + _section("hm", mode="tail", cut=cut) + _section("wos", walks=walks, cap=cap),
         "hm", fmt)
+
+
+_OPNORM_N_MAX = _mostly(_text(st.integers(1, 300)),
+                        _text(st.integers(-2, 0)) | st.sampled_from(["x", "1.5", "10000001"]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=_MAPS, fmt=_FORMATS,
+       p=st.none() | _mostly(st.floats(1.0, 8.0).map(repr), _ODD_NUMBERS),
+       alpha=st.none() | _mostly(st.floats(-0.99, 4.0).map(repr), _ODD_NUMBERS),
+       n_max=st.none() | _OPNORM_N_MAX)
+def test_opnorm_exits_0_or_2_and_writes_only_out(name, fmt, p, alpha, n_max):
+    # the default n_max, 10**4, when the draw leaves it out.  hyp:2 writes
+    # inf bounds: a known defect this check does not look at
+    _exits_0_or_2_and_writes_only_out(
+        _section("map", name=name) + _section("grid", n_max=n_max)
+        + _section("opnorm", p=p, alpha=alpha), "opnorm", fmt)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=_MAPS, start=st.none() | _POINTS, fmt=_FORMATS,
+       t_max=st.none() | _mostly(st.floats(1.0, 40.0).map(repr), _ODD_NUMBERS),
+       n_embed=st.none() | _mostly(_text(st.integers(0, 300)),
+                                   _text(st.integers(-3, -1))
+                                   | st.sampled_from(["x", "1.5", "99999999999"])))
+def test_semiflow_exits_0_or_2_and_writes_only_out(name, start, fmt, t_max, n_embed):
+    _exits_0_or_2_and_writes_only_out(
+        _section("map", name=name, start=start)
+        + _section("semiflow", t_max=t_max, n_embed=n_embed), "semiflow", fmt)

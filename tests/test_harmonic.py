@@ -8,7 +8,7 @@ import pytest
 
 from disciter import harmonic
 from disciter.errors import InvalidPointError
-from disciter.harmonic import (WOS_CHUNK, SlitDiskDomain, WosRequest, _wos_run,
+from disciter.harmonic import (WOS_CHUNK, SlitDiskDomain, WosBatch, WosRequest, _wos_run,
                                arc_diameter, arc_measure_from_diameter,
                                hm_disk_arc, hm_wos, hm_wos_many, tail_hm_series,
                                tail_slit)
@@ -361,6 +361,104 @@ class TestChunkThreads:
             release.set()
             other.join()
         assert got == want
+
+
+class TestBatch:
+    """A WosBatch walks on its worker from the moment it is made."""
+
+    def test_worker_walks_while_the_caller_is_elsewhere(self, monkeypatch):
+        threads = threading.active_count()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = hm_wos_many(_BATCH)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, real, calls = os.getpid(), harmonic._walk_chunk, []
+
+        def counted(*args):
+            if os.getpid() == parent:
+                calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(harmonic, "_walk_chunk", counted)
+        with WosBatch(_BATCH) as batch:
+            # the caller is busy elsewhere until the worker has exited
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            got = batch.collect()
+        assert calls == [] and got == want
+        _no_child_left(threads)
+
+    def test_worker_failing_part_way_is_completed_by_the_caller(self, monkeypatch):
+        # the worker finishes its first two chunks, then fails on the third;
+        # the caller keeps the two and reruns the rest
+        threads = threading.active_count()
+        req = _request(SlitDiskDomain([0.4, 0.8]), 0.1j, n_walks=40 * 64 + 5, seed=9)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want = WosBatch([req], chunk=64).collect()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, real, worker_calls, caller_sizes = os.getpid(), harmonic._walk_chunk, [], []
+
+        def fail_on_third(child, size, *args):
+            if os.getpid() != parent:
+                worker_calls.append(1)
+                if len(worker_calls) == 3:
+                    raise RuntimeError("worker failed")
+            else:
+                caller_sizes.append(size)
+            return real(child, size, *args)
+
+        monkeypatch.setattr(harmonic, "_walk_chunk", fail_on_third)
+        with WosBatch([req], chunk=64) as batch:
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+            got = batch.collect()
+        assert got == want
+        # the two chunks the worker finished, the last two, were not rerun
+        assert len(caller_sizes) == 41 - 2 and 5 not in caller_sizes
+        _no_child_left(threads)
+
+    def test_many_small_chunks_run_once_each(self, monkeypatch):
+        # the caller and the worker race for 300 tiny chunks: every chunk runs,
+        # and at most the one where they meet runs in both processes
+        threads = threading.active_count()
+        req = _request(SlitDiskDomain([0.4, 0.8]), 0.1j, n_walks=300 * 8, seed=10)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        (want,) = _wos_run([req], chunk=8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent, real, calls = os.getpid(), harmonic._walk_chunk, []
+
+        def counted(*args):
+            if os.getpid() == parent:
+                calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(harmonic, "_walk_chunk", counted)
+        for _ in range(5):
+            calls.clear()
+            with WosBatch([req], chunk=8) as batch:
+                (got,) = batch._tallies()
+            worker_done = int(batch._board[2:].reshape(-1, 4)[:, 0].sum())
+            assert np.array_equal(got, want)
+            assert 300 <= len(calls) + worker_done <= 301
+        _no_child_left(threads)
+
+    def test_closing_an_uncollected_batch_kills_its_worker(self, monkeypatch):
+        threads = threading.active_count()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real = harmonic._walk_chunk
+        parent = os.getpid()
+
+        def slow_in_worker(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return real(*args)
+
+        monkeypatch.setattr(harmonic, "_walk_chunk", slow_in_worker)
+        forks = _fork_counter(monkeypatch)
+        start = time.monotonic()
+        with pytest.raises(KeyError):
+            with WosBatch(_BATCH):
+                raise KeyError("elsewhere")
+        assert time.monotonic() - start < 30
+        assert forks == [1]
+        _no_child_left(threads)
 
 
 class TestTail:

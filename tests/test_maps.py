@@ -366,6 +366,18 @@ class TestRuns:
                 dense, _ = iterate(f, z0, n).disc_point(np.arange(n + 1))
                 assert np.array_equal(_bits(dense), _bits(ref))
 
+    @pytest.mark.parametrize("z0", [0.0, -0.5, complex(0.3, -0.0), 0.1j])
+    @pytest.mark.parametrize("count", [0, 1, 2, 10 ** 5])
+    def test_quad_run_on_real_starts_matches_the_complex_loop(self, z0, count):
+        # real starts run in floats; every bit must be the complex loop's,
+        # including the sign of a zero imaginary part
+        z = complex(z0)
+        for _ in range(count):
+            z = (1.0 + z * z) / 2.0
+        got = quadratic_parabolic().func.run(z0, count)
+        assert type(got) is complex
+        assert _bits(np.array([got])).tolist() == _bits(np.array([z])).tolist()
+
     def test_counting_wrapper_is_called_once_per_step(self):
         base, n, calls = quadratic_parabolic(), 5000, [0]
 
