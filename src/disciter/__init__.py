@@ -4,8 +4,9 @@ Subpackages by role:
 
 - hypgeo:   hyperbolic metric/distance kernels, Julia and distance-lemma
             checks, Euclidean rate brackets
-- domains:  the chart image domains: membership, boundary distances,
-            transported hyperbolic distances, horodisc tangency ratio
+- domains:  the disc, the right half-plane and the slit plane: membership,
+            boundary distances, transported hyperbolic distances, horodisc
+            tangency ratio
 - maps:     the model-map zoo, one chart kernel per charted model, orbit engines
 - rates:    divergence/Euclidean rate series, fits, verdicts
 - slope:    slope series and tangentiality classification

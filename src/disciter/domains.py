@@ -1,10 +1,10 @@
 """Concrete simply connected domains (the chart images) and their distances.
 
-Every descriptor supplies an exact membership test, an exact test that a
-straight segment stays inside, and the Euclidean boundary distance.
-dist_domain gives exact hyperbolic distances by conformal transport to the
-disc (all tags except the strip, the scaling chart's image), and
-horodisc_tangency_ratio compares the horodisc metric with the disc metric.
+Every descriptor (the disc, the right half-plane and the slit plane) supplies
+an exact membership test, an exact test that a straight segment stays inside,
+and the Euclidean boundary distance.  dist_domain gives exact hyperbolic
+distances by conformal transport to the disc, and horodisc_tangency_ratio
+compares the horodisc metric with the disc metric.
 
 The canonical slit plane is K = C \\ (-inf, -1], uniformized by
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPointError, UnsupportedModelError
+from .errors import InvalidPointError
 from . import hypgeo
 from .hypgeo import as_complex, dist_disk, dist_halfplane
 
@@ -47,7 +47,8 @@ def _slit_contains(w):
     return ~((np.imag(w) == 0.0) & (np.real(w) <= -1.0))
 
 
-def _slit_boundary_distance(w):
+def slit_boundary_distance(w):
+    """Distance from w to the slit (-inf, -1]; positive exactly on K."""
     w = np.asarray(w, dtype=complex)
     x, y = np.real(w), np.imag(w)
     # Distance to the ray {x <= -1, y = 0}: |Im w| past the tip, |w+1| before it.
@@ -58,20 +59,14 @@ def _slit_boundary_distance(w):
 class SimplyConnectedDescriptor:
     """A named domain: membership, segment containment, boundary distance.
 
-    Tags: disc, right-half-plane, upper-half-plane, strip (param = half-width),
-    slit-plane-k.  The strip has no transported distance in dist_domain.
+    Tags: disc, right-half-plane, slit-plane-k.
     """
 
     tag: str
-    param: float = None
 
     def __post_init__(self):
-        if self.tag not in ("disc", "right-half-plane", "upper-half-plane",
-                            "strip", "slit-plane-k"):
+        if self.tag not in ("disc", "right-half-plane", "slit-plane-k"):
             raise ValueError(f"unknown domain tag {self.tag!r}")
-        if self.tag == "strip":
-            if self.param is None or not self.param > 0.0:
-                raise InvalidPointError(f"{self.tag} requires a positive parameter")
 
     def contains(self, w):
         w = np.asarray(as_complex(w), dtype=complex)
@@ -79,10 +74,6 @@ class SimplyConnectedDescriptor:
             return np.abs(w) < 1.0
         if self.tag == "right-half-plane":
             return np.real(w) > 0.0
-        if self.tag == "upper-half-plane":
-            return np.imag(w) > 0.0
-        if self.tag == "strip":
-            return np.abs(np.imag(w)) < self.param
         return _slit_contains(w)
 
     def _require_inside(self, w, where):
@@ -94,7 +85,7 @@ class SimplyConnectedDescriptor:
     def segment_inside(self, w1, w2):
         """Exact test that the straight segment [w1, w2] stays in the domain.
 
-        Elementwise on arrays.  All tags except the slit plane are convex; the
+        Elementwise on arrays.  The disc and the half-plane are convex; the
         slit plane checks the sign change of Im against the cut, which
         pointwise sampling would miss (the slit has measure zero).
         """
@@ -120,31 +111,22 @@ class SimplyConnectedDescriptor:
             out = 1.0 - np.abs(wa)
         elif self.tag == "right-half-plane":
             out = np.real(wa)
-        elif self.tag == "upper-half-plane":
-            out = np.imag(wa)
-        elif self.tag == "strip":
-            out = self.param - np.abs(np.imag(wa))
         else:
-            out = _slit_boundary_distance(wa)
+            out = slit_boundary_distance(wa)
         return out if isinstance(w, np.ndarray) else float(out)
 
 
 DISC = SimplyConnectedDescriptor("disc")
 RIGHT_HALF_PLANE = SimplyConnectedDescriptor("right-half-plane")
-UPPER_HALF_PLANE = SimplyConnectedDescriptor("upper-half-plane")
 SLIT_PLANE_K = SimplyConnectedDescriptor("slit-plane-k")
-
-
-def strip(half_width):
-    return SimplyConnectedDescriptor("strip", float(half_width))
 
 
 def dist_domain(domain: SimplyConnectedDescriptor, w1, w2):
     """Hyperbolic distance of a tagged domain via conformal transport.
 
     Closed-form shortcuts are used on axes of symmetry: points of K on the
-    real geodesic (-1, +inf) give d = (1/4) |log((1+b)/(1+a))|, and both
-    half-planes use their chart closed forms directly.  Elementwise on
+    real geodesic (-1, +inf) give d = (1/4) |log((1+b)/(1+a))|, and the
+    right half-plane uses its chart closed form directly.  Elementwise on
     arrays, each pair taking the branch a scalar call would.
     """
     w1 = domain._require_inside(w1, "dist_domain")
@@ -153,11 +135,7 @@ def dist_domain(domain: SimplyConnectedDescriptor, w1, w2):
     if tag == "disc":
         return dist_disk(w1, w2)
     if tag == "right-half-plane":
-        return dist_halfplane(w1, w2, "right")
-    if tag == "upper-half-plane":
-        return dist_halfplane(w1, w2, "upper")
-    if tag == "strip":
-        raise UnsupportedModelError("strip distance is not provided")
+        return dist_halfplane(w1, w2)
     both_real = (np.imag(w1) == 0.0) & (np.imag(w2) == 0.0)
     if np.ndim(both_real) == 0:
         if both_real:

@@ -201,64 +201,52 @@ def _polyline_distance(verts, p):
     return dist
 
 
-def _walk_chunk(child, size, z, verts, eps, cap):
-    """Run `size` walks from z drawing from the Philox substream `child`;
-    returns their (kinds, angles, steps): kind 0=circle, 1=slit, -1=discard,
-    the absorption angle and the steps taken.
+def _walk_chunk(child, size, req, verts):
+    """Run `size` walks of req from req.z drawing from the Philox substream
+    `child`; returns their tally (walks done, successes, step sum over the
+    done walks).
 
-    Only the live walks are kept: their positions and indices, in walk order,
-    shrunk when walks are absorbed.  Each step draws rng.random(number of live
-    walks) in walk order and moves p to p + rho * exp(2j pi u), so the draws a
-    walk gets depend only on which walks of its chunk are still live, never on
-    how they are stored.  With no slit (verts None) rho = 1 - |p| and walks
-    absorb on the circle (kind 0).  Only private functions are called, so a
-    chunk run by the worker process calls nothing a caller may have wrapped.
+    Only the live walks are kept: their positions in walk order, shrunk when
+    walks are absorbed, and each absorbed walk is counted as it goes.  Each
+    step draws rng.random(number of live walks) in walk order and moves p to
+    p + rho * exp(2j pi u), so the draws a walk gets depend only on which
+    walks of its chunk are still live.  With no slit (verts None) rho = 1 - |p|
+    and walks absorb on the circle; with one, a walk absorbed nearer the slit
+    than the circle lands on the slit.  Walks still live after req.cap steps
+    are discarded.  The counts are exact integers, so their sums over chunks
+    reproduce means over all walks bit for bit (below 2**53).  Only private
+    functions are called, so a chunk run by the worker process calls nothing
+    a caller may have wrapped.
     """
-    kinds = np.full(size, -1, dtype=np.int8)
-    angles = np.zeros(size)
-    steps = np.zeros(size, dtype=np.int64)
     rng = np.random.Generator(np.random.Philox(child))
-    idx = np.arange(size)
-    p = np.full(size, z, dtype=complex)
-    for it in range(cap):
+    p = np.full(size, req.z, dtype=complex)
+    done = successes = step_sum = 0
+    for it in range(req.cap):
         rho = 1.0 - np.abs(p)
         if verts is not None:
             d_slit = _polyline_distance(verts, p)
             on_slit = d_slit < rho
             rho = np.minimum(rho, d_slit)
-        hit = rho < eps
+        hit = rho < req.eps
         at = np.flatnonzero(hit)
         if at.size:
-            gone = idx[at]
-            kinds[gone] = 0 if verts is None else on_slit[at]
-            angles[gone] = np.angle(p[at])
-            steps[gone] = it
+            done += at.size
+            step_sum += it * at.size
+            if req.target == "slit":
+                successes += np.count_nonzero(on_slit[at])
+            else:
+                circle = p[at] if verts is None else p[at[~on_slit[at]]]
+                if req.arc is not None:
+                    t1, t2 = req.arc
+                    circle = circle[np.mod(np.angle(circle) - t1, 2.0 * math.pi) <= t2 - t1]
+                successes += circle.size
             keep = np.flatnonzero(~hit)
-            idx, p, rho = idx[keep], p[keep], rho[keep]
-            if idx.size == 0:
+            p, rho = p[keep], rho[keep]
+            if p.size == 0:
                 break
-        u = rng.random(idx.size)
+        u = rng.random(p.size)
         p = p + rho * np.exp(2j * math.pi * u)
-    steps[idx] = cap  # cap reached: discarded, kind stays -1
-    return kinds, angles, steps
-
-
-def _chunk_tally(req, verts, child, size):
-    """(walks done, successes, step sum over done walks) of one chunk of req.
-
-    The counts are exact integers, so sums of them over chunks reproduce
-    np.mean over the per-walk arrays bit for bit (below 2**53)."""
-    kinds, angles, steps = _walk_chunk(child, size, req.z, verts, req.eps, req.cap)
-    done = kinds >= 0
-    if req.target == "slit":
-        success = kinds[done] == 1
-    else:
-        success = kinds[done] == 0
-        if req.arc is not None:
-            t1, t2 = req.arc
-            ang = np.mod(angles[done] - t1, 2.0 * math.pi)
-            success = success & (ang <= (t2 - t1))
-    return np.count_nonzero(done), np.count_nonzero(success), steps[done].sum()
+    return done, successes, step_sum
 
 
 def _usable_cpus():
@@ -340,7 +328,7 @@ class WosBatch:
         for req in self.requests:
             verts = None if req.domain.empty else np.asarray(req.domain.vertices, dtype=complex)
             seeds = np.random.SeedSequence(req.seed).spawn(math.ceil(req.n_walks / chunk))
-            self._jobs += [(req, verts, s, min(chunk, req.n_walks - ci * chunk))
+            self._jobs += [(s, min(chunk, req.n_walks - ci * chunk), req, verts)
                            for ci, s in enumerate(seeds)]
             counts.append(len(seeds))
         self._splits = np.cumsum(counts)[:-1]
@@ -391,7 +379,7 @@ class WosBatch:
                     cursors[0] = mine + 1
                     if mine >= cursors[1]:
                         break
-                    tallies[mine] = _chunk_tally(*jobs[mine])
+                    tallies[mine] = _walk_chunk(*jobs[mine])
                     mine += 1
             except BaseException:
                 os.kill(self._pid, signal.SIGKILL)
@@ -401,7 +389,7 @@ class WosBatch:
             tallies[mine:] = rows[mine:, 1:]
             left = mine + np.flatnonzero(rows[mine:, 0] == 0)
         for k in left:
-            tallies[k] = _chunk_tally(*jobs[k])
+            tallies[k] = _walk_chunk(*jobs[k])
         return np.split(tallies, self._splits)
 
     def _reap(self):
@@ -436,7 +424,7 @@ def _work_from_back(jobs, board):
         cursors[1] = k
         if k < cursors[0]:
             return
-        rows[k, 1:] = _chunk_tally(*jobs[k])
+        rows[k, 1:] = _walk_chunk(*jobs[k])
         rows[k, 0] = 1
 
 

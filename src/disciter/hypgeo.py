@@ -1,4 +1,4 @@
-"""Hyperbolic geometry of the unit disc and the two half-plane charts.
+"""Hyperbolic geometry of the unit disc and the right half-plane.
 
 Conventions
 -----------
@@ -14,9 +14,9 @@ to infinity.
 All functions are pure and accept numpy arrays wherever a point argument makes
 sense elementwise.  Values are immutable and safe to share across threads.
 
-Limitations: distances here are for the disc and the two half-plane charts
-only (domains.dist_domain transports the other domains); no multiply
-connected geodesics, no prime ends.
+Limitations: distances here are for the disc and the right half-plane only
+(domains.dist_domain transports the slit plane); no multiply connected
+geodesics, no prime ends.
 """
 
 from __future__ import annotations
@@ -67,13 +67,13 @@ def require_in_disk(z, where="point"):
     return z
 
 
-def _require_halfplane(w, chart, where="point"):
+def _require_halfplane(w, where="point"):
     w = as_complex(w)
-    part = np.real(w) if chart == "right" else np.imag(w)
+    part = np.real(w)
     if not np.all(np.isfinite(part)):
         raise InvalidPointError(f"{where}: non-finite input")
     if np.any(part <= 0.0):
-        raise InvalidPointError(f"{where}: not strictly inside the {chart} half-plane")
+        raise InvalidPointError(f"{where}: not strictly inside the right half-plane")
     return w
 
 
@@ -104,20 +104,15 @@ def dist_disk(z, w):
     return 0.5 * np.log1p(2.0 * delta / gap)
 
 
-def dist_halfplane(w1, w2, chart="right"):
-    """Hyperbolic distance in the named half-plane chart, in closed form.
+def dist_halfplane(w1, w2):
+    """Hyperbolic distance in the right half-plane, in closed form.
 
     Agrees with dist_disk of the Cayley preimages but stays finite where those
     preimages are not representable in doubles.
     """
-    if chart not in ("right", "upper"):
-        raise ValueError("chart must be 'right' or 'upper'")
-    w1 = _require_halfplane(w1, chart, "dist_halfplane w1")
-    w2 = _require_halfplane(w2, chart, "dist_halfplane w2")
-    if chart == "right":
-        rho = np.abs(np.conj(w1) + w2)
-    else:
-        rho = np.abs(w1 - np.conj(w2))
+    w1 = _require_halfplane(w1, "dist_halfplane w1")
+    w2 = _require_halfplane(w2, "dist_halfplane w2")
+    rho = np.abs(np.conj(w1) + w2)
     delta = np.abs(w1 - w2)
     gap = rho - delta
     if np.any(gap <= 0.0):

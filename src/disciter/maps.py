@@ -2,13 +2,13 @@
 
 Variants
 --------
-HyperbolicAut(lam)   w -> lam*w in the right half-plane chart; attracting
-                     boundary point 1, angular derivative 1/lam.  Chart
-                     h(z) = log((1+z)/(1-z)) / log(lam), image a horizontal
-                     strip of half-width pi/(2 log lam).
-ParabolicAut         w -> w + 1 in the upper half-plane chart; h is the upper
-                     Cayley map itself, image the upper half-plane
-                     (positive hyperbolic step: orbits approach tangentially).
+HyperbolicAut(lam)   w -> lam*w in the right half-plane; attracting boundary
+                     point 1, angular derivative 1/lam.  Chart
+                     h(z) = log((1+z)/(1-z)) / log(lam), image the horizontal
+                     strip |Im w| < pi/(2 log lam).
+ParabolicAut         w -> w + 1 on the upper half-plane; h is the upper Cayley
+                     map i(1+z)/(1-z) itself, image Im w > 0 (positive
+                     hyperbolic step: orbits approach tangentially).
 KoebeShift           f = g^{-1}(g + 1) for the slit-plane map g; h = g, image
                      K = C \\ (-inf, -1] (zero hyperbolic step, orbits real
                      from real starts, hence non-tangential).
@@ -18,10 +18,14 @@ QuadraticParabolic   f(z) = (1 + z^2)/2, non-univalent (f(z) = f(-z)), no
                      independent recurrence e_{n+1} = e_n - e_n^2/2.
 Custom               user evaluation rule, iterated as a black box.
 
-Each charted zoo member owns one kernel: the closed forms of its semiflow
-phi_t(z0) = h^{-1}(h(z0) + t) as functions of real t (Koenigs coordinate, log
-boundary gap, log(1 - |z|^2), slope angle, pair distances, disc point with a
-saturation flag).  An orbit is its kernel at integer t, and a
+Each charted zoo member owns one kernel per start z0 (see _Kernel): the
+closed forms of its semiflow phi_t(z0) = h^{-1}(h(z0) + t) as functions of
+real t (Koenigs coordinate, log boundary gap, log(1 - |z|^2), slope angle,
+pair distances, disc point with a saturation flag, the disc point by the
+inverse chart), and what needs no t: the chart coordinate h(z0) and the
+boundary distance of the chart image there.  A kernel and the map's declared
+model type are all that orbits and trajectories read, so a model without a
+closed-form chart plugs in by writing a kernel.  An orbit is its kernel at integer t, and a
 semiflow.Trajectory is the same kernel at real t, so the two agree bit for
 bit at integer times.  The scaling kernel keeps log-scale data so rates stay
 exact at iteration counts where materialized doubles would saturate.  Disc
@@ -59,37 +63,25 @@ ZERO_PARABOLIC = "zero-parabolic"
 
 
 @dataclass(frozen=True)
-class KoenigsChart:
-    """Linearizing chart: forward/inverse maps, image domain, boundary data.
-
-    Charts are only canonical up to additive translation; each zoo member
-    pins one normalization by its stated closed form (the slit-plane map
-    sends 0 to 0, the Cayley charts send 0 to their base point).
-    """
-
-    forward: callable
-    inverse: callable
-    omega: domains.SimplyConnectedDescriptor
-    declared_type: str
-
-
-@dataclass(frozen=True)
 class ModelMap:
     name: str
-    variant: str  # hyp-aut | parab-aut | koebe | quad | custom
+    # hyp-aut | parab-aut | koebe | quad | custom; read only by
+    # bench/tracing.py's is_blackbox.
+    variant: str
     func: callable
     tau: BoundaryPoint
     f_prime_tau: float
-    chart: KoenigsChart = None
     # z0 -> the model's chart kernel; None for maps iterated by composition.
     # Every model with a kernel is univalent with a chart image starlike at
     # infinity, which is what semiflow.make_trajectory needs.
     kernel: callable = None
     non_tangential: bool = False  # do orbits converge non-tangentially?
+    # HYPERBOLIC, POSITIVE_PARABOLIC or ZERO_PARABOLIC where declared.
+    model_type: str = None
 
     @property
-    def charted(self):
-        return self.chart is not None
+    def chart(self):  # read only by bench/tracing.py's is_blackbox
+        return self.kernel
 
     @property
     def n_cap(self):
@@ -156,7 +148,8 @@ def _times(t):
 
 @dataclass(frozen=True)
 class _Kernel:
-    """Closed forms of phi_t(z0) for one start z0, each a function of real t.
+    """Closed forms of phi_t(z0) for one start z0, each a function of real t,
+    and the chart data at z0.
 
     koenigs(t)               h(phi_t z0)
     log_gap(t)               log |phi_t z0 - tau|
@@ -164,8 +157,18 @@ class _Kernel:
     slope_angle(t)           arg(1 - conj(tau) phi_t z0)
     pair_dist(t, s)          d(phi_t z0, phi_s z0)
     disc_point(t)            (phi_t z0, saturated flag)
+    point(t)                 phi_t z0 = h^{-1}(w0 + t) by the inverse chart,
+                             for a float array t (0-d or not)
     horizon                  default continuous-time horizon: the disc point
                              stays comfortably representable up to it
+    w0                       h(z0) by the forward chart
+    boundary_distance        Euclidean distance from w0 to the boundary of
+                             the chart image h(D); not positive only when
+                             w0 has rounded out of the image
+
+    Charts are only canonical up to additive translation; each zoo member
+    pins one normalization by its stated closed form (the slit-plane map
+    sends 0 to 0, the Cayley charts send 0 to their base point).
     """
 
     koenigs: callable
@@ -174,36 +177,42 @@ class _Kernel:
     slope_angle: callable
     pair_dist: callable
     disc_point: callable
+    point: callable
     horizon: float
+    w0: complex
+    boundary_distance: float
 
 
 def _scaling_kernel(z0, lam):
-    """w_t = lam^t w0 in the right half-plane chart, stored as log|w_t| and arg w0."""
-    w0 = complex(_cayley_right(z0))
-    logr0 = math.log(abs(w0))
-    theta = math.atan2(w0.imag, w0.real)
+    """c_t = lam^t c0 in the right half-plane, stored as log|c_t| and arg c0;
+    the chart coordinate is log(c_t)/log(lam), in the strip
+    |Im w| < pi/(2 log lam)."""
+    c0 = complex(_cayley_right(z0))
+    logr0 = math.log(abs(c0))
+    theta = math.atan2(c0.imag, c0.real)
     loglam = math.log(lam)
+    w0 = complex(np.log(np.asarray(c0, dtype=complex)) / loglam)
 
-    def log_w(t):
+    def log_c(t):
         return logr0 + _times(t) * loglam
 
-    def log_abs_w_plus_1(t):
-        L = log_w(t)
+    def log_abs_c_plus_1(t):
+        L = log_c(t)
         u = np.exp(-L)
         return L + 0.5 * np.log1p(u * (2.0 * math.cos(theta) + u))
 
     def log_one_minus_mod_sq(t):
-        return math.log(4.0 * math.cos(theta)) + log_w(t) - 2.0 * log_abs_w_plus_1(t)
+        return math.log(4.0 * math.cos(theta)) + log_c(t) - 2.0 * log_abs_c_plus_1(t)
 
     def slope_angle(t):
-        # arg(1 - z_t) = -arg(w_t + 1) = -arg(e^{i theta} + e^{-L})
-        u = np.exp(-log_w(t))
+        # arg(1 - z_t) = -arg(c_t + 1) = -arg(e^{i theta} + e^{-L})
+        u = np.exp(-log_c(t))
         return _unwrap(-np.arctan2(math.sin(theta), math.cos(theta) + u))
 
     def disc_point(t):
         sat = _log_one_minus_mod(log_one_minus_mod_sq(t)) < math.log(SATURATION_EPS)
-        w = np.exp(np.minimum(log_w(t), 700.0)) * cmath.exp(1j * theta)
-        return np.where(sat, 1.0, _cayley_right_inv(w)), sat
+        c = np.exp(np.minimum(log_c(t), 700.0)) * cmath.exp(1j * theta)
+        return np.where(sat, 1.0, _cayley_right_inv(c)), sat
 
     def pair_dist(t, s):
         L = np.abs(_times(s) - _times(t)) * loglam
@@ -214,13 +223,16 @@ def _scaling_kernel(z0, lam):
 
     return _Kernel(
         koenigs=lambda t: (logr0 + 1j * theta) / loglam + _times(t),
-        log_gap=lambda t: math.log(2.0) - log_abs_w_plus_1(t),
+        log_gap=lambda t: math.log(2.0) - log_abs_c_plus_1(t),
         log_one_minus_mod_sq=log_one_minus_mod_sq,
         slope_angle=slope_angle,
         pair_dist=pair_dist,
         disc_point=disc_point,
+        point=lambda t: _cayley_right_inv(np.exp(np.asarray(w0 + t, dtype=complex) * loglam)),
         # The scaling chart reaches the working-precision boundary near t ~ 50.
-        horizon=40.0)
+        horizon=40.0,
+        w0=w0,
+        boundary_distance=math.pi / (2.0 * loglam) - abs(w0.imag))
 
 
 def _upper_kernel(z0):
@@ -244,7 +256,10 @@ def _upper_kernel(z0):
         slope_angle=lambda t: _unwrap(np.angle(2j / (w(t) + 1j))),  # 1 - z_t = 2i/(w_t + i)
         pair_dist=lambda t, s: _upper_offset_dist(w0.imag, np.abs(_times(s) - _times(t))),
         disc_point=disc_point,
-        horizon=100.0)
+        point=lambda t: _cayley_upper_inv(w(t)),
+        horizon=100.0,
+        w0=w0,
+        boundary_distance=w0.imag)
 
 
 def _slit_kernel(z0):
@@ -277,7 +292,10 @@ def _slit_kernel(z0):
         slope_angle=lambda t: _unwrap(np.angle(2.0 / (s(t) + 1.0))),  # 1 - z_t = 2/(s_t + 1)
         pair_dist=pair_dist,
         disc_point=disc_point,
-        horizon=100.0)
+        point=lambda t: domains.slit_riemann_inv(w0 + t),
+        horizon=100.0,
+        w0=w0,
+        boundary_distance=float(domains.slit_boundary_distance(w0)))
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +307,14 @@ def hyperbolic_automorphism(lam):
     if not lam > 1.0:
         raise InvalidPointError("hyperbolic automorphism needs lam > 1")
     lam = float(lam)
-    loglam = math.log(lam)
 
     def f(z):
         return _cayley_right_inv(lam * _cayley_right(z))
 
-    chart = KoenigsChart(
-        forward=lambda z: np.log(np.asarray(_cayley_right(z), dtype=complex)) / loglam,
-        inverse=lambda w: _cayley_right_inv(np.exp(np.asarray(w, dtype=complex) * loglam)),
-        omega=domains.strip(math.pi / (2.0 * loglam)),
-        declared_type=HYPERBOLIC,
-    )
     return ModelMap(name=f"hyp:{lam:g}", variant="hyp-aut", func=f,
-                    tau=BoundaryPoint(0.0), f_prime_tau=1.0 / lam, chart=chart,
-                    kernel=lambda z0: _scaling_kernel(z0, lam), non_tangential=True)
+                    tau=BoundaryPoint(0.0), f_prime_tau=1.0 / lam,
+                    kernel=lambda z0: _scaling_kernel(z0, lam), non_tangential=True,
+                    model_type=HYPERBOLIC)
 
 
 def parabolic_automorphism():
@@ -311,15 +323,9 @@ def parabolic_automorphism():
     def f(z):
         return _cayley_upper_inv(_cayley_upper(z) + 1.0)
 
-    chart = KoenigsChart(
-        forward=_cayley_upper,
-        inverse=_cayley_upper_inv,
-        omega=domains.UPPER_HALF_PLANE,
-        declared_type=POSITIVE_PARABOLIC,
-    )
     return ModelMap(name="parab-aut", variant="parab-aut", func=f,
-                    tau=BoundaryPoint(0.0), f_prime_tau=1.0, chart=chart,
-                    kernel=_upper_kernel, non_tangential=False)
+                    tau=BoundaryPoint(0.0), f_prime_tau=1.0, kernel=_upper_kernel,
+                    non_tangential=False, model_type=POSITIVE_PARABOLIC)
 
 
 def koebe_shift():
@@ -328,15 +334,9 @@ def koebe_shift():
     def f(z):
         return domains.slit_riemann_inv(domains.slit_riemann(z) + 1.0)
 
-    chart = KoenigsChart(
-        forward=domains.slit_riemann,
-        inverse=domains.slit_riemann_inv,
-        omega=domains.SLIT_PLANE_K,
-        declared_type=ZERO_PARABOLIC,
-    )
     return ModelMap(name="koebe", variant="koebe", func=f,
-                    tau=BoundaryPoint(0.0), f_prime_tau=1.0, chart=chart,
-                    kernel=_slit_kernel, non_tangential=True)
+                    tau=BoundaryPoint(0.0), f_prime_tau=1.0, kernel=_slit_kernel,
+                    non_tangential=True, model_type=ZERO_PARABOLIC)
 
 
 def quadratic_parabolic():
@@ -367,8 +367,7 @@ def quadratic_parabolic():
 
     f.run = run
     return ModelMap(name="quad", variant="quad", func=f,
-                    tau=BoundaryPoint(0.0), f_prime_tau=1.0, chart=None,
-                    non_tangential=True)
+                    tau=BoundaryPoint(0.0), f_prime_tau=1.0, non_tangential=True)
 
 
 def custom_map(func, tau_angle=0.0, f_prime_tau=None, name="custom"):

@@ -147,7 +147,7 @@ def asymptotic_verdicts(f: ModelMap, p, alpha, n_max=10 ** 4, squeeze_tol=1e-3):
     last = int(np.nonzero(ok)[0][-1])
     per_n_low = float(series.log_hardy_low[last] / ns[last])
     per_n_high = float(series.log_hardy_high[last] / ns[last])
-    is_hyperbolic = f.charted and f.chart.declared_type == HYPERBOLIC
+    is_hyperbolic = f.model_type == HYPERBOLIC
     squeeze_ok = bool(is_hyperbolic
                       and abs(per_n_low - target) <= squeeze_tol
                       and abs(per_n_high - target) <= squeeze_tol)
@@ -155,8 +155,10 @@ def asymptotic_verdicts(f: ModelMap, p, alpha, n_max=10 ** 4, squeeze_tol=1e-3):
     mask = tail_fit_mask(series.ns, ok & (series.ns >= 1))
     hfit = linear_fit(np.log(ns[mask]), series.log_hardy_low[mask])
     bfit = linear_fit(np.log(ns[mask]), series.log_bergman_low[mask])
-    h_ratio = float(np.min(series.log_hardy_low[mask] / np.log(ns[mask])))
-    b_ratio = float(np.min(series.log_bergman_low[mask] / np.log(ns[mask])))
+    # log n vanishes at n = 1, so the ratios run over n >= 2 only.
+    tail = mask & (series.ns >= 2)
+    h_ratio = float(np.min(series.log_hardy_low[tail] / np.log(ns[tail])))
+    b_ratio = float(np.min(series.log_bergman_low[tail] / np.log(ns[tail])))
     h_floor = 1.0 / (2.0 * p)
     b_floor = (2.0 + alpha) / (2.0 * p)
     # The floor verdict uses the fitted exponent: the bound's additive

@@ -1,10 +1,13 @@
 """Continuous-time trajectories through the linearizing chart.
 
-For a charted, univalent model whose chart image is starlike at infinity, the
-family phi_t(z) = h^{-1}(h(z) + t) is a semigroup on the whole disc that
-interpolates the iteration: phi_n = f^n.  The supported models are exactly the
-zoo members with a chart kernel (unit-translation charts and the scaling
-chart); the non-univalent quadratic map is rejected loudly by design, since a
+For a univalent model whose chart image is starlike at infinity, the family
+phi_t(z) = h^{-1}(h(z) + t) is a semigroup on the whole disc that
+interpolates the iteration: phi_n = f^n.  The supported models are exactly
+those with a kernel (maps._Kernel); everything a trajectory and the checks
+below read comes from the kernel of its start: the disc point by the inverse
+chart, the chart coordinate w0 = h(z0), the boundary distance of the chart
+image at w0, the boundary gap and the slope angle.  The non-univalent
+quadratic map has no kernel and is rejected loudly by design, since a
 fundamental subdomain for it is not constructed here.  A trajectory evaluates
 its boundary gap and slope angle with the same kernel that maps.iterate
 samples at integer times, so both agree with the orbit bit for bit at t = n.
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnsupportedModelError
+from .errors import InvalidPointError, UnsupportedModelError
 from .hypgeo import dist_disk, require_in_disk
 from .maps import ModelMap, eval_map, iterate
 from .util import TOL_CLOSED_FORM
@@ -27,11 +30,15 @@ from .util import TOL_CLOSED_FORM
 class Trajectory:
     map: ModelMap
     z0: complex
-    w0: complex        # chart coordinate of z0
     _kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_kernel", self.map.kernel(self.z0))
+
+    @property
+    def w0(self):
+        """Chart coordinate h(z0)."""
+        return self._kernel.w0
 
     @property
     def horizon(self):
@@ -43,8 +50,7 @@ class Trajectory:
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise UnsupportedModelError("trajectory time must be >= 0")
-        w = self.w0 + t
-        out = self.map.chart.inverse(w)
+        out = self._kernel.point(t)
         return out if t.ndim else complex(out)
 
     def koenigs(self, t):
@@ -65,8 +71,7 @@ def make_trajectory(f: ModelMap, z):
         raise UnsupportedModelError(
             f"{f.name}: trajectories need a univalent chart with image starlike "
             "at infinity (quad is rejected by design)")
-    z = complex(require_in_disk(z, "trajectory start"))
-    return Trajectory(map=f, z0=z, w0=complex(f.chart.forward(z)))
+    return Trajectory(map=f, z0=complex(require_in_disk(z, "trajectory start")))
 
 
 @dataclass(frozen=True)
@@ -126,7 +131,12 @@ def semigroup_law_check(traj: Trajectory, st_pairs, tol=TOL_CLOSED_FORM):
 
 
 def _omega_boundary_distance(traj: Trajectory):
-    return float(traj.map.chart.omega.boundary_distance(traj.w0))
+    """delta_Omega(h(z0)), raising where h(z0) has rounded out of Omega."""
+    delta = traj._kernel.boundary_distance
+    if not delta > 0.0:
+        raise InvalidPointError(
+            f"{traj.map.name}: chart coordinate {traj.w0!r} is outside the chart image")
+    return delta
 
 
 def lipschitz_hyperbolic_check(traj: Trajectory, t_pairs, tol=TOL_CLOSED_FORM):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -247,6 +248,34 @@ class TestSubcommands:
         with pytest.raises(RuntimeError):
             main(["semiflow", "--config", cfg, "--out", str(after), "--format", "json"])
         assert not (after / "semiflow.json").exists()
+
+
+# The benchmark's recorded artifact digests, read only here.
+DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text())
+CHARTED = ("koebe", "hyp:2", "parab-aut")
+
+
+@pytest.mark.parametrize("sub, name, fmt", [
+    (sub, name, fmt) for sub in ("semiflow", "opnorm") for name in CHARTED
+    for fmt in ("csv", "json", "svg") if (sub, name) != ("opnorm", "hyp:2")])
+def test_artifact_bytes_match_the_recorded_digest(tmp_path, sub, name, fmt):
+    # the config of the benchmark's charted-sweep job of the same name
+    cfg = _write(tmp_path, f"[map]\nname = {name}\n", "config.ini")
+    assert main([sub, "--config", cfg, "--out", str(tmp_path / "out"), "--format", fmt]) == 0
+    got = hashlib.sha256((tmp_path / "out" / f"{sub}.{fmt}").read_bytes()).hexdigest()
+    assert got == DIGESTS[f"charted-sweep/{sub}-{name.replace(':', '')}-{fmt}"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", CHARTED)
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_opnorm_on_a_short_grid_warns_nothing(tmp_path, name, n_max):
+    # these grids keep n = 1, where the tail-min ratios' log n vanishes
+    cfg = _write(tmp_path, f"[map]\nname = {name}\n[grid]\nn_max = {n_max}\n")
+    for fmt in ("csv", "json", "svg"):
+        assert main(["opnorm", "--config", cfg, "--out", str(tmp_path), "--format", fmt]) == 0
+    ratios = json.loads((tmp_path / "opnorm.json").read_text())["tail_min_ratio"]
+    assert all(math.isfinite(v) for v in ratios.values())
 
 
 class TestHmModes:

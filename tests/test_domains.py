@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from disciter import domains
 from disciter.domains import (SLIT_PLANE_K, SimplyConnectedDescriptor,
                               dist_domain, horodisc_tangency_ratio,
-                              slit_riemann, slit_riemann_inv, strip)
-from disciter.errors import InvalidPointError, UnsupportedModelError
+                              slit_riemann, slit_riemann_inv)
+from disciter.errors import InvalidPointError
 from disciter.hypgeo import dist_disk
 
 
@@ -85,8 +85,9 @@ class TestDistDomain:
             assert abs(drift[-1] - drift[-5]) < 0.01, z
 
     def test_strip_unsupported(self):
-        with pytest.raises(UnsupportedModelError):
-            dist_domain(strip(1.0), 0.0, 1.0)
+        # the scaling chart's strip image is no domain here: its tag is refused
+        with pytest.raises(ValueError):
+            SimplyConnectedDescriptor("strip")
 
     def test_domain_monotonicity_under_dilation(self):
         # 3K contains K; transport gives d_{3K}(z, w) = d_K(z/3, w/3) <= d_K(z, w)
@@ -119,9 +120,8 @@ class TestBoundaryDistance:
         with pytest.raises(InvalidPointError):
             SLIT_PLANE_K.boundary_distance(-2.0)
 
-    def test_halfplane_and_strip(self):
+    def test_right_halfplane(self):
         assert domains.RIGHT_HALF_PLANE.boundary_distance(2.0 + 5j) == 2.0
-        assert strip(1.5).boundary_distance(0.5j) == 1.0
 
 
 class TestHorodiscTangency:
@@ -157,5 +157,6 @@ class TestHorodiscTangency:
 
 class TestDescriptors:
     def test_unknown_tag_rejected(self):
-        with pytest.raises(ValueError):
-            SimplyConnectedDescriptor("banana")
+        for tag in ("banana", "upper-half-plane"):
+            with pytest.raises(ValueError):
+                SimplyConnectedDescriptor(tag)

@@ -169,6 +169,12 @@ class TestWos:
             (SlitDiskDomain([-0.7, -0.5 + 0.2j, -0.3, -0.1 + 0.2j]), -0.4 - 0.3j,
              dict(target="slit", cap=40), 2027,
              (0.4386057319907049, 0.0027620911927290323, 616, 14.042106893880712)),
+            # circle arcs past a slit: walks absorbed on the slit count as failures
+            (SlitDiskDomain([0.2, 0.7]), -0.2 + 0.1j, dict(target="circle", arc=(2.0, 2.9)),
+             2028, (0.19148095223617403, 0.002169548575711999, 0, 15.430695326989145)),
+            (SlitDiskDomain([-0.7, -0.5 + 0.2j, -0.3, -0.1 + 0.2j]), -0.4 - 0.3j,
+             dict(target="circle", arc=(1.0, 4.0), cap=40), 2029,
+             (0.27147286821705424, 0.002476402429626338, 641, 13.98291472868217)),
         ]
         for dom, z, kwargs, seed, pinned in cases:
             est = hm_wos(dom, z, n_walks=n_walks, seed=seed, **kwargs)
@@ -249,7 +255,7 @@ class TestChunkThreads:
             arr = np.asarray(dom.vertices, dtype=complex) if verts else None
             sizes = [WOS_CHUNK] * 3 + [123]
             for order in ([3, 2, 1, 0], rng.permutation(4)):
-                got = {ci: harmonic._chunk_tally(req, arr, seeds[ci], sizes[ci])
+                got = {ci: harmonic._walk_chunk(seeds[ci], sizes[ci], req, arr)
                        for ci in order}
                 assert np.array_equal([got[ci] for ci in range(4)], ref)
 

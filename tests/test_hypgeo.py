@@ -68,19 +68,18 @@ class TestDistHalfplane:
     def test_right_axis_geodesic(self):
         # (1, lam^n) on the positive axis: d = (n/2) log lam
         for n in (1, 2, 5):
-            assert dist_halfplane(1.0, 2.0 ** n, "right") == pytest.approx(
+            assert dist_halfplane(1.0, 2.0 ** n) == pytest.approx(
                 n / 2.0 * math.log(2.0), abs=1e-13)
 
-    def test_upper_identity(self):
-        assert dist_halfplane(1j, 1j, "upper") == 0.0
+    def test_identity(self):
+        assert dist_halfplane(1.0 + 1j, 1.0 + 1j) == 0.0
 
     def test_cross_chart_consistency(self):
-        # d(i, i+1) in the upper chart equals dist_disk of the Cayley preimages
-        w1, w2 = 1j, 1j + 1.0
-        z1 = (w1 - 1j) / (w1 + 1j)
-        z2 = (w2 - 1j) / (w2 + 1j)
-        assert dist_halfplane(w1, w2, "upper") == pytest.approx(
-            float(dist_disk(z1, z2)), abs=1e-12)
+        # d(1, 1+i) in the right chart equals dist_disk of the Cayley preimages
+        w1, w2 = 1.0, 1.0 + 1j
+        z1 = (w1 - 1.0) / (w1 + 1.0)
+        z2 = (w2 - 1.0) / (w2 + 1.0)
+        assert dist_halfplane(w1, w2) == pytest.approx(float(dist_disk(z1, z2)), abs=1e-12)
 
     def test_right_chart_matches_disc(self):
         rng = np.random.default_rng(5)
@@ -88,19 +87,11 @@ class TestDistHalfplane:
         w = 0.8 * (rng.random(50) + 1j * rng.random(50) - 0.5 - 0.5j)
         cz = (1 + z) / (1 - z)
         cw = (1 + w) / (1 - w)
-        assert np.max(np.abs(dist_halfplane(cz, cw, "right") - dist_disk(z, w))) < 1e-12
-
-    def test_upper_chart_matches_disc(self):
-        rng = np.random.default_rng(6)
-        z = 0.8 * (rng.random(50) + 1j * rng.random(50) - 0.5 - 0.5j)
-        w = 0.8 * (rng.random(50) + 1j * rng.random(50) - 0.5 - 0.5j)
-        cz = 1j * (1 + z) / (1 - z)
-        cw = 1j * (1 + w) / (1 - w)
-        assert np.max(np.abs(dist_halfplane(cz, cw, "upper") - dist_disk(z, w))) < 1e-12
+        assert np.max(np.abs(dist_halfplane(cz, cw) - dist_disk(z, w))) < 1e-12
 
     def test_rejects_wrong_halfplane(self):
         with pytest.raises(InvalidPointError):
-            dist_halfplane(-1.0, 2.0, "right")
+            dist_halfplane(-1.0, 2.0)
 
 
 class TestSchwarzPickGenerics:
@@ -175,7 +166,7 @@ class TestDistanceLemma:
 
     def test_halfplane_brackets_exact(self):
         lo, hi = distance_lemma_bounds(RIGHT_HALF_PLANE, 1.0, 1.0 + 1j)
-        exact = float(dist_halfplane(1.0, 1.0 + 1j, "right"))
+        exact = float(dist_halfplane(1.0, 1.0 + 1j))
         assert lo <= exact <= hi
 
     def test_segment_exit_gives_absent_upper(self):

@@ -45,23 +45,28 @@ class TestEval:
             assert all(a > b for a, b in zip(gaps, gaps[1:])), f.name
 
     def test_chart_semiconjugacy(self):
-        # h(f(z)) = h(z) + 1 on a 1e4-point grid away from the boundary
+        # h(f(z)) = h(z) + 1 on a 1e4-point grid away from the boundary, with
+        # h(z) the chart coordinate w0 of the kernel started at z
         r = np.linspace(0.0, 0.9, 100)
         th = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False)
         z = (r[:, None] * np.exp(1j * th[None, :])).ravel()
         for f in ZOO:
-            if not f.charted:
+            if f.kernel is None:
                 continue
-            h = f.chart.forward
+
+            def h(points):
+                return np.array([f.kernel(complex(p)).w0 for p in points])
+
             gap = np.max(np.abs(h(f(z)) - h(z) - 1.0))
             assert gap < 1e-12, f.name
 
     def test_eval_matches_chart_route(self):
+        # f = h^{-1}(h + 1): the kernel's inverse-chart point at t = 1
         for f in ZOO:
-            if not f.charted:
+            if f.kernel is None:
                 continue
             z = 0.3 - 0.2j
-            via_chart = complex(f.chart.inverse(f.chart.forward(z) + 1.0))
+            via_chart = complex(f.kernel(z).point(np.asarray(1.0)))
             assert abs(complex(eval_map(f, z)) - via_chart) < 1e-12
 
     def test_quad_is_even(self):
@@ -77,7 +82,7 @@ class TestEval:
 
     def test_registry(self):
         assert resolve_map("hyp:3").f_prime_tau == 1.0 / 3.0
-        assert resolve_map("koebe").variant == "koebe"
+        assert resolve_map("koebe").name == "koebe"
         with pytest.raises(UnsupportedModelError):
             resolve_map("julia")
 
@@ -297,20 +302,20 @@ def _inferred_type(f, z0, n_max):
 class TestClassify:
     def test_koebe(self):
         kind, tag, fprime, verdict = _inferred_type(koebe_shift(), 0.0, 10 ** 5)
-        assert kind == koebe_shift().chart.declared_type == "zero-parabolic"
+        assert kind == koebe_shift().model_type == "zero-parabolic"
         assert tag == "zero-step"
         assert abs(fprime - 1.0) < 1e-2
         assert verdict == "non-tangential"
 
     def test_parab_aut(self):
         kind, _, _, verdict = _inferred_type(parabolic_automorphism(), 0.0, 10 ** 5)
-        assert kind == parabolic_automorphism().chart.declared_type == "positive-parabolic"
+        assert kind == parabolic_automorphism().model_type == "positive-parabolic"
         assert verdict == "tangential"
 
     def test_hyp(self):
         f = hyperbolic_automorphism(2.0)
         kind, _, fprime, _ = _inferred_type(f, 0.0, 10 ** 5)
-        assert kind == f.chart.declared_type == "hyperbolic"
+        assert kind == f.model_type == "hyperbolic"
         assert fprime == pytest.approx(0.5, abs=1e-6)
 
     def test_quad(self):

@@ -1,15 +1,18 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from disciter import semiflow
+from disciter import maps, semiflow
 from disciter.domains import slit_riemann_inv
-from disciter.errors import UnsupportedModelError
-from disciter.maps import (eval_map, hyperbolic_automorphism, iterate,
+from disciter.errors import InvalidPointError, UnsupportedModelError
+from disciter.hypgeo import BoundaryPoint, dist_disk
+from disciter.maps import (ModelMap, eval_map, hyperbolic_automorphism, iterate,
                            koebe_shift, parabolic_automorphism,
                            quadratic_parabolic)
+from disciter.opnorm import asymptotic_verdicts
 from disciter.semiflow import (embed_check, invariance_check, landing_rate,
                                lipschitz_euclidean_check,
                                lipschitz_hyperbolic_check, make_trajectory,
@@ -143,3 +146,74 @@ class TestSlopeAgreement:
             mid_orbit = cluster_estimate(orbit.slope_angle(grid)).midpoint
             mid_traj = cluster_estimate(traj.slope_angle(ts)).midpoint
             assert abs(mid_orbit - mid_traj) < 1e-3, f.name
+
+
+def _written_map(model_type):
+    """The parabolic automorphism with a kernel written here from plain disc
+    formulas: no chart object, and nothing of the zoo's kernels."""
+
+    def kernel(z0):
+        w0 = complex(1j * (1.0 + z0) / (1.0 - z0))
+
+        def point(t):
+            w = w0 + np.asarray(t, dtype=float)
+            return (w - 1j) / (w + 1j)
+
+        def disc_point(t):
+            z = point(t)
+            return z, maps.is_boundary_saturated(z)
+
+        return maps._Kernel(
+            koenigs=lambda t: w0 + np.asarray(t, dtype=float),
+            log_gap=lambda t: np.log(np.abs(point(t) - 1.0)),
+            log_one_minus_mod_sq=lambda t: np.log(1.0 - np.abs(point(t)) ** 2),
+            slope_angle=lambda t: np.angle(1.0 - point(t)),
+            pair_dist=lambda t, s: dist_disk(point(t), point(s)),
+            disc_point=disc_point, point=point, horizon=100.0, w0=w0,
+            boundary_distance=w0.imag)
+
+    return ModelMap(name="written", variant="written", func=parabolic_automorphism().func,
+                    tau=BoundaryPoint(0.0), f_prime_tau=1.0, kernel=kernel,
+                    model_type=model_type)
+
+
+class TestWrittenKernel:
+    """Trajectories, checks and verdicts need only a kernel and a declared
+    model type, no chart object."""
+
+    def test_trajectory_and_checks(self):
+        f = _written_map(maps.POSITIVE_PARABOLIC)
+        traj = make_trajectory(f, 0.0)
+        assert traj.w0 == 1j
+        assert abs(traj.point(1.0) - complex(eval_map(f, 0.0))) < 1e-15
+        assert embed_check(traj, n_max=10 ** 3).passed
+        rng = np.random.default_rng(5)
+        pairs = list(zip(rng.uniform(0, 50, 20), rng.uniform(0, 50, 20)))
+        assert semigroup_law_check(traj, pairs).passed
+        hyp = lipschitz_hyperbolic_check(traj, pairs)
+        assert hyp.passed and hyp.details["bound_constant"] == 1.0
+        euc = lipschitz_euclidean_check(traj, pairs)
+        assert euc.passed and euc.details["bound_constant"] == 16.0
+
+    def test_verdicts_on_a_written_kernel(self):
+        zoo = asymptotic_verdicts(parabolic_automorphism(), 2.0, 0.0)
+        written = asymptotic_verdicts(_written_map(maps.POSITIVE_PARABOLIC), 2.0, 0.0)
+        assert written.floors_ok and not written.squeeze_ok
+        # 1 - |f^n(0)|^2 = 4/(n^2+4): exponent 2/p, as for the zoo's kernel
+        assert written.hardy_exponent_fit.slope == pytest.approx(1.0, abs=0.01)
+        assert written.hardy_exponent_fit.slope == pytest.approx(
+            zoo.hardy_exponent_fit.slope, rel=1e-6)
+        # The squeeze is tried only when the map declares HYPERBOLIC.  Here
+        # it targets -log f'(tau)/p = 0, and the per-n bounds, about
+        # log(n^2/4)/(p n), are within 1e-3 of it at n = 1e4.
+        as_hyperbolic = asymptotic_verdicts(_written_map(maps.HYPERBOLIC), 2.0, 0.0)
+        assert as_hyperbolic.squeeze_ok and as_hyperbolic.floors_ok
+
+    def test_start_rounded_out_of_the_chart_image_is_refused(self):
+        f = _written_map(maps.POSITIVE_PARABOLIC)
+        off = dataclasses.replace(
+            f, kernel=lambda z0: dataclasses.replace(f.kernel(z0), boundary_distance=0.0))
+        traj = make_trajectory(off, 0.0)
+        for check in (lipschitz_hyperbolic_check, lipschitz_euclidean_check):
+            with pytest.raises(InvalidPointError, match="outside the chart image"):
+                check(traj, [(0.0, 1.0)])
