@@ -130,12 +130,10 @@ def criterion_05_quadratic_parabolic(seed=DEFAULT_SEED):
 
 def criterion_06_quasi_geodesic_equivalence(seed=DEFAULT_SEED):
     m_max = 10 ** 4
-    policy = qgeo.PairPolicy(m_max=m_max)
-    cert_k = qgeo.discrete_qg_fit(maps.iterate(maps.koebe_shift(), 0.0, m_max + 1), policy)
-    cert_h = qgeo.discrete_qg_fit(
-        maps.iterate(maps.hyperbolic_automorphism(2.0), 0.0, m_max + 1), policy)
-    cert_p = qgeo.discrete_qg_fit(
-        maps.iterate(maps.parabolic_automorphism(), 0.0, m_max + 1), policy)
+    cert_k, cert_h, cert_p = (
+        qgeo.discrete_qg_fit(maps.iterate(f, 0.0, m_max + 1), m_max)
+        for f in (maps.koebe_shift(), maps.hyperbolic_automorphism(2.0),
+                  maps.parabolic_automorphism()))
     witness_ratio = cert_p.pair_lookup(1, m_max)[4] if cert_p.verdict == "refuted" else 0.0
     ok = (cert_k.verdict == "certified" and cert_k.a == 1.0 and cert_k.b == 0.0
           and cert_h.verdict == "certified" and cert_h.a <= 1.1
@@ -175,8 +173,7 @@ def criterion_07_property_suites(seed=DEFAULT_SEED):
         w = sample_disk(rng, 10 ** 4, rmax=0.95)
         slack = hypgeo.dist_disk(z, w) - hypgeo.dist_disk(f(z), f(w))
         sp_worst = min(sp_worst, float(np.min(slack)))
-        julia_ok &= bool(np.all(hypgeo.julia_check(f.tau, f.f_prime_tau,
-                                                   z, f(z), slack=1e-12)))
+        julia_ok &= bool(np.all(hypgeo.julia_check(f.tau, f.f_prime_tau, z, f(z))))
     details["schwarz_pick_min_slack"] = sp_worst
 
     zs = sample_disk(rng, 10 ** 3)

@@ -300,7 +300,7 @@ def _cmd_qg(args, cfg):
     if m_max < 1:
         raise ConfigError(f"[qg] m_max must be >= 1, got {m_max}")
     orbit = maps.iterate(f, _start_point(cfg), m_max + 1)
-    cert = qgeo.discrete_qg_fit(orbit, qgeo.PairPolicy(m_max=m_max))
+    cert = qgeo.discrete_qg_fit(orbit, m_max)
 
     def col(k):
         return [row[k] for row in cert.pairs]
@@ -435,8 +435,6 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config) if args.config else {}
-        if args.seed is not None:
-            cfg.setdefault("wos", {})["seed"] = str(args.seed)
         return _SUBCOMMANDS[args.subcommand](args, cfg)
     except (ConfigError, InvalidPointError, UnsupportedModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,6 +41,8 @@ DISCARD_FLAG_FRACTION = 0.01
 # Polyline segments per distance block: a 16,384-walk chunk's temporaries
 # then stay near 2 MB each.
 SEGMENT_BLOCK = 8
+# Vertices of the polyline that tail_slit puts on a flow tail.
+TAIL_SLIT_SAMPLES = 96
 
 
 @dataclass(frozen=True)
@@ -322,9 +324,10 @@ class WosBatch:
     reaped, and leaving the block before collect() kills it first.
     """
 
-    def __init__(self, requests, chunk=WOS_CHUNK):
+    def __init__(self, requests):
         self.requests = [_checked(req) for req in requests]
         self._jobs, counts = [], []
+        chunk = WOS_CHUNK  # read here, so a test may set a smaller one
         for req in self.requests:
             verts = None if req.domain.empty else np.asarray(req.domain.vertices, dtype=complex)
             seeds = np.random.SeedSequence(req.seed).spawn(math.ceil(req.n_walks / chunk))
@@ -428,9 +431,9 @@ def _work_from_back(jobs, board):
         rows[k, 0] = 1
 
 
-def _wos_run(requests, chunk=WOS_CHUNK):
-    """The per-chunk tallies of WosBatch(requests, chunk), per request."""
-    with WosBatch(requests, chunk) as batch:
+def _wos_run(requests):
+    """The per-chunk tallies of WosBatch(requests), per request."""
+    with WosBatch(requests) as batch:
         return batch._tallies()
 
 
@@ -475,7 +478,7 @@ class TailHmResult:
                 "max_omega_sqrt_n": self.max_omega_sqrt_n}
 
 
-def tail_slit(f: ModelMap, z, n, cut=1e-6, samples=96):
+def tail_slit(f: ModelMap, z, n, cut=1e-6):
     """Polyline sampling of the flow tail {phi_t(z) : t >= n}, truncated where
     the boundary gap drops below `cut` (Hausdorff error <= cut)."""
     if not cut > 0.0:
@@ -486,7 +489,8 @@ def tail_slit(f: ModelMap, z, n, cut=1e-6, samples=96):
         raise InvalidPointError("tail already inside the cut; lower n or cut")
     # For the translation charts the gap is ~ 2/sqrt(t); invert to find the cut time.
     t_far = float(n) + max(1.0, (2.0 / cut) ** 2)
-    offsets = np.concatenate([[0.0], np.geomspace(1e-3, t_far - float(n), samples - 1)])
+    offsets = np.concatenate([[0.0], np.geomspace(1e-3, t_far - float(n),
+                                                 TAIL_SLIT_SAMPLES - 1)])
     pts = traj.point(float(n) + offsets)
     return SlitDiskDomain(np.atleast_1d(pts))
 

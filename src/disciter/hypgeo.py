@@ -132,11 +132,12 @@ def boundary_quotient(tau, z):
     return np.abs(tau - z) ** 2 / ((1.0 - a) * (1.0 + a))
 
 
-def julia_check(tau, ftau_prime, z, fz, slack=TOL_CLOSED_FORM):
-    """Julia inequality u(f(z)) <= f'(tau) * u(z) + slack for the boundary quotient u."""
+def julia_check(tau, ftau_prime, z, fz):
+    """Julia inequality u(f(z)) <= f'(tau) * u(z) + TOL_CLOSED_FORM for the
+    boundary quotient u."""
     if not (0.0 < ftau_prime <= 1.0):
         raise InvalidPointError("julia_check: f'(tau) must lie in (0, 1]")
-    return boundary_quotient(tau, fz) <= ftau_prime * boundary_quotient(tau, z) + slack
+    return boundary_quotient(tau, fz) <= ftau_prime * boundary_quotient(tau, z) + TOL_CLOSED_FORM
 
 
 def euclid_rate_bracket(d):
@@ -152,12 +153,14 @@ def euclid_rate_bracket(d):
 # Distance Lemma
 # ---------------------------------------------------------------------------
 
-# Pairs whose trapezoid samples are evaluated together: at the default 4096
+# Trapezoid samples on each segment of distance_lemma_bounds.
+LEMMA_SAMPLES = 4096
+# Pairs whose trapezoid samples are evaluated together: at LEMMA_SAMPLES
 # samples, each complex array of a block takes 0.5 MB.
 _BRACKET_BLOCK = 8
 
 
-def distance_lemma_bounds(domain, z1, z2, samples=4096):
+def distance_lemma_bounds(domain, z1, z2):
     """Two-sided bracket for the hyperbolic distance of a simply connected domain.
 
     lower = (1/4) log(1 + |z1-z2| / min(delta(z1), delta(z2)));
@@ -180,12 +183,12 @@ def distance_lemma_bounds(domain, z1, z2, samples=4096):
     near = np.minimum(domain.boundary_distance(z1), domain.boundary_distance(z2))
     lower = 0.25 * np.log1p(sep / near)
     upper = np.where(sep == 0.0, 0.0, np.nan)
-    t = np.linspace(0.0, 1.0, samples)
+    t = np.linspace(0.0, 1.0, LEMMA_SAMPLES)
     sampled = np.flatnonzero(domain.segment_inside(z1, z2) & (sep != 0.0))
     for start in range(0, sampled.size, _BRACKET_BLOCK):
         k = sampled[start:start + _BRACKET_BLOCK, None]
         inv_delta = 1.0 / domain.boundary_distance(z1[k] + t * (z2[k] - z1[k]))
-        upper[k[:, 0]] = np.trapezoid(inv_delta, dx=sep[k] / (samples - 1), axis=-1)
+        upper[k[:, 0]] = np.trapezoid(inv_delta, dx=sep[k] / (LEMMA_SAMPLES - 1), axis=-1)
     if shape:
         return lower.reshape(shape), upper.reshape(shape)
     return float(lower[0]), None if np.isnan(upper[0]) else float(upper[0])

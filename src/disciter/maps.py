@@ -25,18 +25,19 @@ pair distances, disc point with a saturation flag, the disc point by the
 inverse chart), and what needs no t: the chart coordinate h(z0) and the
 boundary distance of the chart image there.  A kernel and the map's declared
 model type are all that orbits and trajectories read, so a model without a
-closed-form chart plugs in by writing a kernel.  An orbit is its kernel at integer t, and a
-semiflow.Trajectory is the same kernel at real t, so the two agree bit for
-bit at integer times.  The scaling kernel keeps log-scale data so rates stay
-exact at iteration counts where materialized doubles would saturate.  Disc
-materialization flags points indistinguishable from the boundary instead of
-silently clipping.  Maps without a kernel (quad, custom) iterate by direct
-composition in one forward pass with checkpoints (_BlackBoxOrbit).
+closed-form chart plugs in by writing a kernel.  An orbit is its kernel at
+integer t, and a semiflow.Trajectory is the same kernel at real t, so the two
+agree bit for bit at integer times; both refuse a start whose chart
+coordinate has rounded out of the chart image.  The scaling kernel keeps
+log-scale data so rates stay exact at iteration counts where materialized
+doubles would saturate.  Disc materialization flags points indistinguishable
+from the boundary instead of silently clipping.  Maps without a kernel (quad,
+custom) iterate by direct composition, each point composed at most once into
+one store of checkpoints and requested indices (_BlackBoxOrbit).
 """
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -52,8 +53,6 @@ N_CAP_CHARTED = 10 ** 7
 N_CAP_BLACKBOX = 10 ** 6
 # Black-box orbits keep f^(jK)(z0) every K steps (see _BlackBoxOrbit).
 CHECKPOINT_SPACING = 1024
-# They also keep the points of the first SERVED_MAX distinct indices requested.
-SERVED_MAX = N_CAP_BLACKBOX // CHECKPOINT_SPACING + 1
 # How far outside the closed disc rounding may leave a black-box point.
 OUT_OF_DISC_MARGIN = 1e-9
 
@@ -229,8 +228,9 @@ def _scaling_kernel(z0, lam):
         pair_dist=pair_dist,
         disc_point=disc_point,
         point=lambda t: _cayley_right_inv(np.exp(np.asarray(w0 + t, dtype=complex) * loglam)),
-        # The scaling chart reaches the working-precision boundary near t ~ 50.
-        horizon=40.0,
+        # 1 - |phi_t(0)| is about 2 lam^-t, so t <= 28 / log(lam) keeps it
+        # above about 1e-12 (t = 40 for every lam <= 2).
+        horizon=min(40.0, 28.0 / loglam),
         w0=w0,
         boundary_distance=math.pi / (2.0 * loglam) - abs(w0.imag))
 
@@ -484,12 +484,22 @@ class OrbitRecord:
         return out
 
 
+def _kernel_at(f: ModelMap, z0):
+    """f's kernel at the start z0, refused where the chart coordinate h(z0)
+    has rounded out of the chart image (boundary distance not positive)."""
+    kernel = f.kernel(z0)
+    if not kernel.boundary_distance > 0.0:
+        raise InvalidPointError(
+            f"{f.name}: chart coordinate {kernel.w0!r} is outside the chart image")
+    return kernel
+
+
 class _ChartedOrbit(OrbitRecord):
     """The model's kernel sampled at integer times."""
 
     def __init__(self, map_, z0, n_max):
         super().__init__(map_, z0, n_max)
-        self._kernel = map_.kernel(self.z0)
+        self._kernel = _kernel_at(map_, self.z0)
 
     def koenigs(self, n):
         return self._kernel.koenigs(self._check(n))
@@ -521,43 +531,39 @@ class _ChartedOrbit(OrbitRecord):
 
 
 class _BlackBoxOrbit(OrbitRecord):
-    """Orbit by direct composition in one forward pass, with checkpoints.
+    """Orbit by direct composition, each point composed at most once.
 
-    The record keeps f^(jK)(z0) for K = CHECKPOINT_SPACING and every j up to
-    the highest index reached, and the running point at each of the first
-    SERVED_MAX distinct indices requested: at most N_CAP_BLACKBOX / K + 1 =
-    977 of each, never a dense orbit.  A request is served in index order: an
-    index served before is read back, any other is composed forward from the
-    nearest point at or below it among the previous index of the request, the
-    checkpoints and the indices served before, so no index is composed from
-    f^0 twice and a repeated grid is not composed again.  The indices and
-    points of the last request composed are kept until the next one, and a
-    request they cover is read from them.
+    One store holds ascending indices and the running point f^i(z0) at each:
+    z0, the checkpoint f^(jK)(z0) for K = CHECKPOINT_SPACING and every j up
+    to the highest index reached, and every index ever requested; never a
+    dense orbit unless one is requested.  A request reads the indices the
+    store holds and composes each missing one, in ascending order, from the
+    nearest stored point or missing index below it; the new points and the
+    checkpoints passed join the store once, so a repeated index is read back,
+    not composed again.
 
-    The steps between two stored points are one call of map.func.run(z,
-    count) when the rule has that attribute, which returns f^count(z) through
-    the same chain of operations as count calls of map.func; any other rule,
-    a counting wrapper included, is called once per step, exactly as a plain
-    `z = f(z)` loop does.  The running point is a Python complex at every
-    checkpoint, so f^n(z0) is always the same chain of operations from the
-    checkpoint below n: its bits do not depend on the order, repetition or
-    grouping of requests.
+    The steps between two points are one call of map.func.run(z, count) when
+    the rule has that attribute, which returns f^count(z) through the same
+    chain of operations as count calls of map.func; any other rule, a
+    counting wrapper included, is called once per step, exactly as a plain
+    `z = f(z)` loop does.  The store keeps each point as the chain had it: a
+    Python complex at every checkpoint, and what the rule returned elsewhere.
+    So f^n(z0) is always the same chain of operations from the checkpoint
+    below n: its bits do not depend on the order, repetition or grouping of
+    requests, for rules that return numpy scalars too.
 
-    The first stored point, in index order, that is not a number, is
-    non-finite or lies outside the closed disc by more than OUT_OF_DISC_MARGIN
-    raises InvalidPointError naming its index; stored points are the
-    checkpoints and the requested indices.  So does a step whose evaluation
-    raises an ArithmeticError (a rule dividing by zero on its orbit).  Orbits
-    that saturate land on |z| = 1 exactly and are flagged, not raised.
+    The first checkpoint or requested index, in index order, whose point is
+    not a number, is non-finite or lies outside the closed disc by more than
+    OUT_OF_DISC_MARGIN raises InvalidPointError naming its index.  So does a
+    step whose evaluation raises an ArithmeticError (a rule dividing by zero
+    on its orbit).  Orbits that saturate land on |z| = 1 exactly and are
+    flagged, not raised.
     """
 
     def __init__(self, map_, z0, n_max):
         super().__init__(map_, z0, n_max)
-        self._marks = [self.z0]  # f^(jK)(z0), j = 0, 1, ...
-        self._served = {}  # requested index i -> running point f^i(z0)
-        self._served_at = []  # the keys of _served, ascending
-        # The last request composed: its indices ascending, and their points.
-        self._kept = (np.empty(0, dtype=np.int64), np.empty(0, dtype=complex))
+        self._at = np.zeros(1, dtype=np.int64)  # the stored indices, ascending
+        self._zs = np.array([self.z0], dtype=object)  # f^i(z0) at each
 
     def _stored(self, k, z):
         """z = f^k(z0) as a Python complex, checked to be a number in the closed disc."""
@@ -571,18 +577,6 @@ class _BlackBoxOrbit(OrbitRecord):
         if not abs(z) <= 1.0 + OUT_OF_DISC_MARGIN:  # also false for nan and inf
             raise InvalidPointError(
                 f"{self.map.name} orbit leaves the closed disc: f^{k}(z0) = {z!r}")
-        return z
-
-    def _advance(self, k, z, n):
-        """f^n(z0) from z = f^k(z0), k <= n, storing every checkpoint passed."""
-        marks = self._marks
-        while k < n:
-            stop = min(n, (k // CHECKPOINT_SPACING + 1) * CHECKPOINT_SPACING)
-            z = self._compose(k, z, stop)
-            k = stop
-            if k == len(marks) * CHECKPOINT_SPACING:
-                z = self._stored(k, z)
-                marks.append(z)
         return z
 
     def _compose(self, k, z, stop):
@@ -608,38 +602,36 @@ class _BlackBoxOrbit(OrbitRecord):
     def _points(self, n):
         n = self._check(n)
         ks = np.atleast_1d(n)
-        kept_at, kept_pts = self._kept
-        pos = np.searchsorted(kept_at, ks).clip(max=max(kept_at.size - 1, 0))
-        if kept_at.size and np.array_equal(kept_at[pos], ks):
-            pts = kept_pts[pos]
-        else:
-            pts = self._compose_request(ks)
-            order = np.argsort(ks, kind="stable")
-            self._kept = (ks[order], pts[order])
+        pos = np.searchsorted(self._at, ks)
+        stored = self._at[np.minimum(pos, self._at.size - 1)] == ks
+        missing = sorted(set(ks[~stored].tolist()))
+        if missing:
+            self._add(missing)
+            pos = np.searchsorted(self._at, ks)
+        pts = self._zs[pos].astype(complex)
         return pts if np.ndim(n) else pts[0]
 
-    def _compose_request(self, ks):
-        pts = np.empty(ks.shape, dtype=complex)
-        served, at = self._served, self._served_at
-        k, z = 0, self.z0
-        for pos in np.argsort(ks, kind="stable"):
-            i = int(ks[pos])
-            if i in served:
-                z = served[i]
-            else:
-                j = min(i // CHECKPOINT_SPACING, len(self._marks) - 1)
-                if j * CHECKPOINT_SPACING > k:
-                    k, z = j * CHECKPOINT_SPACING, self._marks[j]
-                below = bisect.bisect(at, i) - 1
-                if below >= 0 and at[below] > k:
-                    k, z = at[below], served[at[below]]
-                z = self._advance(k, z, i)
-            k = i
-            pts[pos] = self._stored(i, z)
-            if i not in served and len(served) < SERVED_MAX:
-                served[i] = z
-                bisect.insort(at, i)
-        return pts
+    def _add(self, missing):
+        """Compose the ascending indices `missing`, none of them stored, and
+        merge them into the store with the checkpoints passed on the way."""
+        at, zs = [], []
+        k = -1
+        for i, below in zip(missing, np.searchsorted(self._at, missing) - 1):
+            if self._at[below] > k:
+                k, z = int(self._at[below]), self._zs[below]
+            while k < i:
+                stop = min(i, (k // CHECKPOINT_SPACING + 1) * CHECKPOINT_SPACING)
+                z = self._compose(k, z, stop)
+                checked = self._stored(stop, z)
+                if stop % CHECKPOINT_SPACING == 0:
+                    z = checked
+                k = stop
+                at.append(k)
+                zs.append(z)
+        at = np.concatenate([self._at, at])
+        order = np.argsort(at, kind="stable")
+        self._at = at[order]
+        self._zs = np.concatenate([self._zs, np.fromiter(zs, dtype=object, count=len(zs))])[order]
 
     def disc_point(self, n):
         z = self._points(n)
@@ -666,11 +658,7 @@ class _BlackBoxOrbit(OrbitRecord):
         return np.log(np.abs(z - self.tau))
 
     def pair_dist(self, n, m):
-        # One request for both ends, so each point is composed once.
-        size = np.size(n)
-        pts = self._points(np.concatenate([np.ravel(n), np.ravel(m)]))
-        return dist_disk(pts[:size].reshape(np.shape(n))[()],
-                         pts[size:].reshape(np.shape(m))[()])
+        return dist_disk(self._points(n), self._points(m))
 
     def dist_from_start(self, n):
         return dist_disk(self.z0, self._points(n))
@@ -684,9 +672,11 @@ class _BlackBoxOrbit(OrbitRecord):
 def iterate(f: ModelMap, z, n):
     """Orbit record for f^0(z), ..., f^n(z).
 
-    Maps with a kernel compute in chart coordinates (cap 1e7); the others
-    compose directly (cap 1e6), flag boundary saturation instead of
-    clipping, and raise InvalidPointError at points that leave the disc.
+    Maps with a kernel compute in chart coordinates (cap 1e7) and raise
+    InvalidPointError at a start whose chart coordinate rounds out of the
+    chart image; the others compose directly (cap 1e6), flag boundary
+    saturation instead of clipping, and raise InvalidPointError at points
+    that leave the disc.
     """
     if f.kernel is None:
         return _BlackBoxOrbit(f, z, n)

@@ -23,6 +23,9 @@ from .errors import InvalidPointError
 from .maps import HYPERBOLIC, ModelMap, iterate
 from .util import FitResult, geometric_grid, linear_fit, tail_fit_mask
 
+# How close both per-n log-bounds must come to -log f'(tau)/p (hyperbolic squeeze).
+SQUEEZE_TOL = 1e-3
+
 
 def _require_p(p):
     if not (math.isfinite(p) and p >= 1.0):
@@ -127,7 +130,7 @@ class OpnormReport:
         }
 
 
-def asymptotic_verdicts(f: ModelMap, p, alpha, n_max=10 ** 4, squeeze_tol=1e-3):
+def asymptotic_verdicts(f: ModelMap, p, alpha, n_max=10 ** 4):
     """Norm-growth verdicts for one map.
 
     Hyperbolic: both log-bounds divided by n converge to -log f'(tau)/p and
@@ -149,8 +152,8 @@ def asymptotic_verdicts(f: ModelMap, p, alpha, n_max=10 ** 4, squeeze_tol=1e-3):
     per_n_high = float(series.log_hardy_high[last] / ns[last])
     is_hyperbolic = f.model_type == HYPERBOLIC
     squeeze_ok = bool(is_hyperbolic
-                      and abs(per_n_low - target) <= squeeze_tol
-                      and abs(per_n_high - target) <= squeeze_tol)
+                      and abs(per_n_low - target) <= SQUEEZE_TOL
+                      and abs(per_n_high - target) <= SQUEEZE_TOL)
 
     mask = tail_fit_mask(series.ns, ok & (series.ns >= 1))
     hfit = linear_fit(np.log(ns[mask]), series.log_hardy_low[mask])

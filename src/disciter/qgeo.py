@@ -24,8 +24,10 @@ from .errors import InvalidPointError
 from .hypgeo import dist_disk, metric_disk
 from .maps import OrbitRecord
 
-A_GRID_DEFAULT = np.round(np.arange(1.0, 10.0 + 1e-9, 0.1), 10)
-B_MAX_DEFAULT = 1000.0
+# The search box: A in A_GRID, integer B in 0..B_MAX, and the slack a need
+# may exceed them by.
+A_GRID = np.round(np.arange(1.0, 10.0 + 1e-9, 0.1), 10)
+B_MAX = 1000.0
 SLACK = 1e-9
 
 
@@ -41,16 +43,6 @@ def _geometric_pairs(last):
         out.add((n, last))
         n = 1 if n == 0 else n * 2
     return sorted(out)
-
-
-@dataclass(frozen=True)
-class PairPolicy:
-    """Which (n, m) pairs to test: geometric in n and in m - n, plus (n, m_max)."""
-
-    m_max: int = 10 ** 4
-
-    def pairs(self):
-        return _geometric_pairs(self.m_max)
 
 
 @dataclass(frozen=True)
@@ -83,79 +75,77 @@ class QgCertificate:
         }
 
 
-def _search_box(sums, dists, a_grid, b_max, slack):
+def _search_box(sums, dists):
     """Lexicographically minimal (A, B) feasible on all pairs, or None.
 
     The need max(sums - A * dists) of every A comes from one array; each
     entry is the same correctly rounded product and difference, and a row
     max is exact, so each need equals the one a loop over A computes.
     """
-    a_grid = np.asarray(a_grid, dtype=float)
-    needs = np.max(sums - np.multiply.outer(a_grid, dists), axis=1)
-    for a, need in zip(a_grid.tolist(), needs.tolist()):
-        if need <= slack:
+    needs = np.max(sums - np.multiply.outer(A_GRID, dists), axis=1)
+    for a, need in zip(A_GRID.tolist(), needs.tolist()):
+        if need <= SLACK:
             return a, 0.0
-        b = math.ceil(need - slack)
-        if b <= b_max:
+        b = math.ceil(need - SLACK)
+        if b <= B_MAX:
             return a, float(b)
     return None
 
 
-def _certify(labels, sums, dists, a_grid, b_max, slack, excluded, notes=""):
+def _certify(labels, sums, dists, excluded):
     """Certificate over the pairs labelled by `labels` (index or parameter pairs)."""
     # Triangle inequality must hold pairwise regardless of the verdict.
     worst = float(np.max(dists - sums))
     if worst > 1e-6:
         raise InvalidPointError(
             f"step sums violate the triangle inequality by {worst:g}")
-    ratios = (sums - b_max) / np.where(dists > 0, dists, np.nan)
+    ratios = (sums - B_MAX) / np.where(dists > 0, dists, np.nan)
     rows = [(n, m, float(s), float(d), float(r))
             for (n, m), s, d, r in zip(labels, sums, dists, ratios)]
-    found = _search_box(sums, dists, a_grid, b_max, slack)
+    found = _search_box(sums, dists)
     if found is not None:
-        return QgCertificate("certified", found[0], found[1], float(a_grid[-1]),
-                             float(b_max), rows, None, excluded, notes)
-    viol = sums - float(a_grid[-1]) * dists - b_max
+        return QgCertificate("certified", found[0], found[1], float(A_GRID[-1]), B_MAX,
+                             rows, None, excluded)
+    viol = sums - float(A_GRID[-1]) * dists - B_MAX
     witness = rows[int(np.argmax(viol))]
-    return QgCertificate("refuted", math.nan, math.nan, float(a_grid[-1]),
-                         float(b_max), rows, witness, excluded, notes)
+    return QgCertificate("refuted", math.nan, math.nan, float(A_GRID[-1]), B_MAX,
+                         rows, witness, excluded)
 
 
-def discrete_qg_fit(orbit: OrbitRecord, policy: PairPolicy = None,
-                    a_grid=A_GRID_DEFAULT, b_max=B_MAX_DEFAULT, slack=SLACK):
+def discrete_qg_fit(orbit: OrbitRecord, m_max=None):
     """Certificate for the orbit's step sums against endpoint distances.
 
-    Saturated black-box points are excluded; if more than half the pairs go,
-    the verdict is inconclusive.
+    The pairs (n, m) run up to m_max (default min(10^4, n_max - 1)),
+    geometric in n and in m - n, plus (n, m_max).  Saturated black-box
+    points are excluded; if more than half the pairs go, the verdict is
+    inconclusive.
     """
-    if policy is None:
-        policy = PairPolicy(m_max=min(10 ** 4, orbit.n_max - 1))
-    pairs = policy.pairs()
-    if policy.m_max + 1 > orbit.n_max:
-        raise InvalidPointError("orbit too short for the pair policy")
-    prefix = orbit.steps_prefix(policy.m_max)
+    if m_max is None:
+        m_max = min(10 ** 4, orbit.n_max - 1)
+    if m_max + 1 > orbit.n_max:
+        raise InvalidPointError(f"orbit too short for m_max = {m_max}")
+    pairs = _geometric_pairs(m_max)
+    prefix = orbit.steps_prefix(m_max)
 
-    ok = orbit.available(np.arange(policy.m_max + 1, dtype=np.int64))
+    ok = orbit.available(np.arange(m_max + 1, dtype=np.int64))
     ok_idx = np.array([ok[n] and ok[m] for n, m in pairs])
     excluded = 1.0 - float(np.mean(ok_idx))
     if excluded > 0.5:
-        return QgCertificate("inconclusive", math.nan, math.nan,
-                             float(a_grid[-1]), float(b_max), [], None,
-                             excluded, "more than half of the pairs saturated")
+        return QgCertificate("inconclusive", math.nan, math.nan, float(A_GRID[-1]), B_MAX,
+                             [], None, excluded, "more than half of the pairs saturated")
     kept = [p for p, ok in zip(pairs, ok_idx) if ok]
     ns = np.array([p[0] for p in kept], dtype=np.int64)
     ms = np.array([p[1] for p in kept], dtype=np.int64)
     sums = prefix[ms] - prefix[ns]
     dists = np.asarray(orbit.pair_dist(ns, ms), dtype=float)
-    return _certify(kept, sums, dists, a_grid, b_max, slack, excluded)
+    return _certify(kept, sums, dists, excluded)
 
 
-def curve_qg_check(ts, points, metric="disc", a_grid=A_GRID_DEFAULT,
-                   b_max=B_MAX_DEFAULT, slack=SLACK):
-    """Certificate for a sampled curve: polyline length against distance.
+def curve_qg_check(ts, points):
+    """Certificate for a sampled curve in the disc: polyline length against
+    distance.
 
-    `ts` must be strictly increasing; `points` are the curve samples inside
-    the tagged domain (only the disc is needed by the model zoo).  Probe
+    `ts` must be strictly increasing; `points` are the curve samples.  Probe
     parameter pairs are geometric in index and in index gap.
     """
     ts = np.asarray(ts, dtype=float)
@@ -166,8 +156,6 @@ def curve_qg_check(ts, points, metric="disc", a_grid=A_GRID_DEFAULT,
         raise InvalidPointError("curve_qg_check needs at least two samples")
     if np.any(np.diff(ts) <= 0):
         raise InvalidPointError("curve parameters must be strictly increasing")
-    if metric != "disc":
-        raise InvalidPointError("curve_qg_check currently supports the disc only")
 
     lam = metric_disk(pts)
     seg = np.abs(np.diff(pts))
@@ -183,4 +171,4 @@ def curve_qg_check(ts, points, metric="disc", a_grid=A_GRID_DEFAULT,
     # distance on short spans; clamp the triangle check at quadrature scale.
     sums = np.maximum(sums, dists)
     labels = [(float(ts[i]), float(ts[j])) for i, j in pairs]
-    return _certify(labels, sums, dists, a_grid, b_max, slack, 0.0)
+    return _certify(labels, sums, dists, 0.0)

@@ -19,6 +19,13 @@ from .hypgeo import dist_disk, euclid_rate_bracket
 from .maps import ModelMap, OrbitRecord, iterate
 from .util import FitResult, geometric_grid, last_decade_mask, linear_fit, tail_fit_mask
 
+# Allowance of the fitted Euclidean decay exponent over its bound.
+EXPONENT_FIT_TOL = 0.02
+# Relative tolerance of the Arosio-Bracci limit (absolute when the target is 0).
+AROSIO_BRACCI_REL_TOL = 1e-3
+# Step limit below which an orbit is tagged zero-step.
+ZERO_STEP_THRESHOLD = 1e-4
+
 
 def _check_grid(n_grid):
     ns = np.asarray(n_grid, dtype=np.int64)
@@ -86,7 +93,7 @@ class EuclideanResult:
                 "non_tangential": self.non_tangential}
 
 
-def euclidean_series(orbit: OrbitRecord, n_grid, non_tangential=False, fit_tol=0.02):
+def euclidean_series(orbit: OrbitRecord, n_grid, non_tangential=False):
     """Euclidean gap series with the decay-exponent fit and verdict.
 
     The fitted exponent of |f^n z - tau| is checked against -1/4 in general
@@ -102,7 +109,7 @@ def euclidean_series(orbit: OrbitRecord, n_grid, non_tangential=False, fit_tol=0
     mask = tail_fit_mask(ns, available & (ns >= 1))
     fit = linear_fit(np.log(ns[mask]), orbit.log_dist_to_tau(ns[mask]))
     bound = -0.5 if non_tangential else -0.25
-    ok = bool(fit.slope <= bound + fit_tol)
+    ok = bool(fit.slope <= bound + EXPONENT_FIT_TOL)
     return EuclideanResult(ns, omm, gap, available, fit, bound, ok, non_tangential)
 
 
@@ -118,11 +125,11 @@ class ArosioBracciResult:
                 "verdict": self.verdict, "tolerance": self.tolerance}
 
 
-def arosio_bracci_limit(orbit: OrbitRecord, n_max=10 ** 4, rel_tol=1e-3):
+def arosio_bracci_limit(orbit: OrbitRecord, n_max=10 ** 4):
     """Tail average of d(z, f^n z)/n against the limit -log f'(tau)/2.
 
     For parabolic maps the target is 0 and the relative tolerance degenerates;
-    the verdict then uses rel_tol as an absolute tolerance.
+    the verdict then uses AROSIO_BRACCI_REL_TOL as an absolute tolerance.
     """
     ns = geometric_grid(n_max)
     mask = last_decade_mask(ns)
@@ -132,7 +139,7 @@ def arosio_bracci_limit(orbit: OrbitRecord, n_max=10 ** 4, rel_tol=1e-3):
     if fpt is None:
         raise InvalidPointError("arosio_bracci_limit needs f'(tau)")
     target = -math.log(fpt) / 2.0
-    tol = max(rel_tol * abs(target), rel_tol)
+    tol = max(AROSIO_BRACCI_REL_TOL * abs(target), AROSIO_BRACCI_REL_TOL)
     return ArosioBracciResult(est, target, bool(abs(est - target) <= tol), tol)
 
 
@@ -181,13 +188,13 @@ class StepResult:
                 "non_increasing": self.non_increasing}
 
 
-def step_series(orbit: OrbitRecord, n_grid, zero_threshold=1e-4):
+def step_series(orbit: OrbitRecord, n_grid):
     """Step sequence d(f^n z, f^{n+1} z) on the grid with the trichotomy tag;
     the orbit must reach one index past the grid."""
     ns = _check_grid(n_grid)
     steps = orbit.step(ns)
     limit = float(steps[-1])
-    tag = "zero-step" if limit < zero_threshold else "positive-step"
+    tag = "zero-step" if limit < ZERO_STEP_THRESHOLD else "positive-step"
     non_increasing = bool(np.all(np.diff(steps) <= 1e-12))
     return StepResult(ns, steps, limit, tag, non_increasing)
 

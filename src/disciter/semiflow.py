@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidPointError, UnsupportedModelError
+from .errors import UnsupportedModelError
 from .hypgeo import dist_disk, require_in_disk
-from .maps import ModelMap, eval_map, iterate
+from .maps import ModelMap, _kernel_at, eval_map, iterate
 from .util import TOL_CLOSED_FORM
 
 
@@ -33,7 +33,7 @@ class Trajectory:
     _kernel: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_kernel", self.map.kernel(self.z0))
+        object.__setattr__(self, "_kernel", _kernel_at(self.map, self.z0))
 
     @property
     def w0(self):
@@ -66,7 +66,8 @@ class Trajectory:
 
 
 def make_trajectory(f: ModelMap, z):
-    """Trajectory through z; rejects unsupported (non-univalent/uncharted) maps."""
+    """Trajectory through z; rejects unsupported (non-univalent/uncharted)
+    maps, and starts whose chart coordinate rounds out of the chart image."""
     if f.kernel is None:
         raise UnsupportedModelError(
             f"{f.name}: trajectories need a univalent chart with image starlike "
@@ -89,7 +90,12 @@ class CheckResult:
         return out
 
 
-def embed_check(traj: Trajectory, n_max=10 ** 4, tol=TOL_CLOSED_FORM):
+def _closed_form_result(err, details=None):
+    """The result of a closed-form identity check: passed when err <= TOL_CLOSED_FORM."""
+    return CheckResult(err, TOL_CLOSED_FORM, bool(err <= TOL_CLOSED_FORM), details)
+
+
+def embed_check(traj: Trajectory, n_max=10 ** 4):
     """phi_n(z) against f^n(z), compared in model coordinates and in the disc.
 
     Both sides are evaluated through the chart (that is what makes the
@@ -106,19 +112,19 @@ def embed_check(traj: Trajectory, n_max=10 ** 4, tol=TOL_CLOSED_FORM):
     disc_gap = np.abs(traj.point(ns[good].astype(float)) - zs_orbit[good]) \
         if np.any(good) else np.zeros(1)
     err = float(max(model_gap.max(), disc_gap.max()))
-    return CheckResult(err, tol, bool(err <= tol))
+    return _closed_form_result(err)
 
 
-def invariance_check(traj: Trajectory, t_grid, tol=TOL_CLOSED_FORM):
+def invariance_check(traj: Trajectory, t_grid):
     """max over the grid of |f(phi_t(z)) - phi_{t+1}(z)|."""
     ts = np.asarray(t_grid, dtype=float)
     lhs = eval_map(traj.map, traj.point(ts))
     rhs = traj.point(ts + 1.0)
     err = float(np.max(np.abs(lhs - rhs)))
-    return CheckResult(err, tol, bool(err <= tol))
+    return _closed_form_result(err)
 
 
-def semigroup_law_check(traj: Trajectory, st_pairs, tol=TOL_CLOSED_FORM):
+def semigroup_law_check(traj: Trajectory, st_pairs):
     """max over sampled (s, t) of |phi_s(phi_t(z)) - phi_{s+t}(z)|."""
     errs = []
     for s, t in st_pairs:
@@ -127,26 +133,17 @@ def semigroup_law_check(traj: Trajectory, st_pairs, tol=TOL_CLOSED_FORM):
         direct = traj.point(float(s) + float(t))
         errs.append(abs(chained - direct))
     err = float(max(errs))
-    return CheckResult(err, tol, bool(err <= tol))
+    return _closed_form_result(err)
 
 
-def _omega_boundary_distance(traj: Trajectory):
-    """delta_Omega(h(z0)), raising where h(z0) has rounded out of Omega."""
-    delta = traj._kernel.boundary_distance
-    if not delta > 0.0:
-        raise InvalidPointError(
-            f"{traj.map.name}: chart coordinate {traj.w0!r} is outside the chart image")
-    return delta
-
-
-def lipschitz_hyperbolic_check(traj: Trajectory, t_pairs, tol=TOL_CLOSED_FORM):
-    """d(phi_t1 z, phi_t2 z) <= |t1 - t2| / delta_Omega(h(z)) + tol on all pairs.
+def lipschitz_hyperbolic_check(traj: Trajectory, t_pairs):
+    """d(phi_t1 z, phi_t2 z) <= |t1 - t2| / delta_Omega(h(z)) + TOL_CLOSED_FORM on all pairs.
 
     The constant is the explicit one: the boundary distance of the chart image
     is nondecreasing along horizontal rays, so the segment estimate gives
     1/delta at the left endpoint.
     """
-    c0 = 1.0 / _omega_boundary_distance(traj)
+    c0 = 1.0 / traj._kernel.boundary_distance
     worst = -math.inf
     ratios = []
     for t1, t2 in t_pairs:
@@ -156,23 +153,22 @@ def lipschitz_hyperbolic_check(traj: Trajectory, t_pairs, tol=TOL_CLOSED_FORM):
         if t1 != t2:
             ratios.append(d / abs(t2 - t1))
     fitted = float(max(ratios)) if ratios else 0.0
-    return CheckResult(float(worst), tol, bool(worst <= tol),
-                       details={"bound_constant": c0, "fitted_constant": fitted})
+    return _closed_form_result(float(worst),
+                               {"bound_constant": c0, "fitted_constant": fitted})
 
 
-def lipschitz_euclidean_check(traj: Trajectory, t_pairs, tol=TOL_CLOSED_FORM):
-    """|phi_t1 z - phi_t2 z| <= 16 |t1 - t2| / delta_Omega(h(z)) + tol.
+def lipschitz_euclidean_check(traj: Trajectory, t_pairs):
+    """|phi_t1 z - phi_t2 z| <= 16 |t1 - t2| / delta_Omega(h(z)) + TOL_CLOSED_FORM.
 
     16 = 8 * diam(disc) * c0 is the constant from the hyperbolic estimate
     combined with the boundary-distance lower bound for the disc.
     """
-    c = 16.0 / _omega_boundary_distance(traj)
+    c = 16.0 / traj._kernel.boundary_distance
     worst = -math.inf
     for t1, t2 in t_pairs:
         gap = abs(traj.point(float(t1)) - traj.point(float(t2)))
         worst = max(worst, gap - c * abs(t2 - t1))
-    return CheckResult(float(worst), tol, bool(worst <= tol),
-                       details={"bound_constant": c})
+    return _closed_form_result(float(worst), {"bound_constant": c})
 
 
 def landing_rate(traj: Trajectory, t_grid):

@@ -70,14 +70,14 @@ def cluster_estimate(series, tail_fraction=0.125):
     return ClusterEstimate(tmin, tmax, stable, bool(tmax - tmin < SINGLETON_WIDTH))
 
 
-def tangentiality_verdict(cluster: ClusterEstimate, margin=TANGENT_MARGIN):
+def tangentiality_verdict(cluster: ClusterEstimate):
     """Classify a cluster interval: non-tangential, tangential, or inconclusive."""
     if not cluster.stable:
         return "inconclusive"
-    half_pi = math.pi / 2.0
-    if cluster.theta_min >= half_pi - margin or cluster.theta_max <= -half_pi + margin:
+    edge = math.pi / 2.0 - TANGENT_MARGIN
+    if cluster.theta_min >= edge or cluster.theta_max <= -edge:
         return "tangential"
-    if -half_pi + margin < cluster.theta_min and cluster.theta_max < half_pi - margin:
+    if -edge < cluster.theta_min and cluster.theta_max < edge:
         return "non-tangential"
     return "inconclusive"
 

@@ -20,16 +20,19 @@ TOL_CLOSED_FORM = 1e-12
 # indistinguishable from the boundary at double precision.
 SATURATION_EPS = 1e-15
 
+# geometric_grid holds every n up to this one.
+GRID_DENSE_UPTO = 32
 
-def geometric_grid(n_max, dense_upto=32):
-    """Increasing integer grid: 1..dense_upto, then floor(2**(k/2)), capped at n_max.
+
+def geometric_grid(n_max):
+    """Increasing integer grid: 1..GRID_DENSE_UPTO, then floor(2**(k/2)), capped at n_max.
 
     n_max itself is always included so pointwise checks at the grid end are
     meaningful.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    vals = set(range(1, min(dense_upto, n_max) + 1))
+    vals = set(range(1, min(GRID_DENSE_UPTO, n_max) + 1))
     k = 0
     while True:
         n = int(2 ** (k / 2.0))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import disciter
-from disciter import semiflow
+from disciter import maps, semiflow
 from disciter.cli import load_config, main
 from disciter.errors import ConfigError
 
@@ -255,15 +255,54 @@ DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "bench" / "digests.j
 CHARTED = ("koebe", "hyp:2", "parab-aut")
 
 
-@pytest.mark.parametrize("sub, name, fmt", [
-    (sub, name, fmt) for sub in ("semiflow", "opnorm") for name in CHARTED
-    for fmt in ("csv", "json", "svg") if (sub, name) != ("opnorm", "hyp:2")])
-def test_artifact_bytes_match_the_recorded_digest(tmp_path, sub, name, fmt):
-    # the config of the benchmark's charted-sweep job of the same name
-    cfg = _write(tmp_path, f"[map]\nname = {name}\n", "config.ini")
+# (digest key, subcommand, config, format) of the benchmark's jobs whose
+# artifacts do not depend on its seed: charted-sweep semiflow and opnorm, and
+# the black-box jobs with the default start.
+DIGEST_JOBS = [
+    pytest.param(f"charted-sweep/{sub}-{name.replace(':', '')}-{fmt}", sub,
+                 f"[map]\nname = {name}\n", fmt, id=f"{sub}-{name}-{fmt}")
+    for sub in ("semiflow", "opnorm") for name in CHARTED
+    for fmt in ("csv", "json", "svg") if (sub, name) != ("opnorm", "hyp:2")]
+DIGEST_JOBS += [
+    pytest.param(f"blackbox/{sub}-quad", sub, "[map]\nname = quad\n", "json",
+                 id=f"blackbox-{sub}-quad") for sub in ("rate", "slope", "orbit", "qg")]
+DIGEST_JOBS.append(pytest.param(
+    "blackbox/rate-custom", "rate", "[map]\nname = custom\ncustom_expr = (1 + z*z)/2\n",
+    "json", id="blackbox-rate-custom"))
+
+
+@pytest.mark.parametrize("job, sub, config, fmt", DIGEST_JOBS)
+def test_artifact_bytes_match_the_recorded_digest(tmp_path, job, sub, config, fmt):
+    cfg = _write(tmp_path, config, "config.ini")
     assert main([sub, "--config", cfg, "--out", str(tmp_path / "out"), "--format", fmt]) == 0
     got = hashlib.sha256((tmp_path / "out" / f"{sub}.{fmt}").read_bytes()).hexdigest()
-    assert got == DIGESTS[f"charted-sweep/{sub}-{name.replace(':', '')}-{fmt}"]
+    assert got == DIGESTS[job]
+
+
+@pytest.mark.parametrize("lam", ["1.2", "2", "2.5", "3", "5", "10", "100", "1e6"])
+def test_semiflow_passes_on_every_hyperbolic_rate(tmp_path, lam):
+    # the default horizon keeps 1 - |phi_t(0)| above double precision for any lam
+    cfg = _write(tmp_path, f"[map]\nname = hyp:{lam}\n")
+    assert main(["semiflow", "--config", cfg, "--out", str(tmp_path), "--format", "json"]) == 0
+    checks = json.loads((tmp_path / "semiflow.json").read_text())["checks"]
+    assert sorted(k for k, v in checks.items() if v["passed"]) == [
+        "embed", "invariance", "lipschitz_euclidean", "lipschitz_hyperbolic"]
+
+
+def test_hyperbolic_horizon_is_40_up_to_lam_2():
+    for lam in (1.2, 2.0):
+        assert semiflow.make_trajectory(maps.hyperbolic_automorphism(lam), 0.0).horizon == 40.0
+    assert semiflow.make_trajectory(maps.hyperbolic_automorphism(3.0), 0.0).horizon < 40.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("sub", ["orbit", "rate", "slope", "qg", "semiflow"])
+def test_start_on_the_slit_tip_is_refused(tmp_path, capsys, sub):
+    # this start's chart coordinate rounds onto the slit tip w = -1
+    cfg = _write(tmp_path, "[map]\nname = koebe\nstart = -0.999999999999999\n")
+    assert main([sub, "--config", cfg, "--out", str(tmp_path), "--format", "json"]) == 2
+    assert "chart coordinate (-1+0j) is outside the chart image" in capsys.readouterr().err
+    assert not (tmp_path / f"{sub}.json").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -298,6 +337,18 @@ class TestHmModes:
         assert 0.0 < payload["value"] < 1.0
         assert payload["method"] == "wos-monte-carlo"
         assert payload["se"] > 0.0
+
+    def test_seed_flag_replaces_the_config_seed(self, tmp_path):
+        base = "[hm]\nmode = wos\nz = 0\nslit = 0.4, 0.8\n[wos]\nwalks = 2000\n"
+        runs = {"flag": (base + "seed = 3\n", ["--seed", "9"]),
+                "config": (base + "seed = 9\n", []), "other": (base + "seed = 3\n", [])}
+        got = {}
+        for name, (text, flag) in runs.items():
+            cfg = _write(tmp_path, text, f"{name}.ini")
+            assert main(["hm", "--config", cfg, "--out", str(tmp_path / name),
+                         "--format", "json", *flag]) == 0
+            got[name] = (tmp_path / name / "hm.json").read_bytes()
+        assert got["flag"] == got["config"] != got["other"]
 
     def test_unknown_mode_rejected(self, tmp_path):
         cfg = _write(tmp_path, "[hm]\nmode = banana\n")

@@ -296,10 +296,11 @@ class TestChunkThreads:
         threads = threading.active_count()
         req = _request(SlitDiskDomain([0.4, 0.8]), 0.1j, n_walks=201 * 64 + 5, seed=9)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        (serial,) = _wos_run([req], chunk=64)
+        monkeypatch.setattr(harmonic, "WOS_CHUNK", 64)
+        (serial,) = _wos_run([req])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         forks = _fork_counter(monkeypatch)
-        (split,) = _wos_run([req], chunk=64)
+        (split,) = _wos_run([req])
         assert forks == [1]
         _no_child_left(threads)
         assert serial.shape == (202, 3) and serial[:, 0].sum() == req.n_walks
@@ -398,7 +399,8 @@ class TestBatch:
         threads = threading.active_count()
         req = _request(SlitDiskDomain([0.4, 0.8]), 0.1j, n_walks=40 * 64 + 5, seed=9)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        want = WosBatch([req], chunk=64).collect()
+        monkeypatch.setattr(harmonic, "WOS_CHUNK", 64)
+        want = WosBatch([req]).collect()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         parent, real, worker_calls, caller_sizes = os.getpid(), harmonic._walk_chunk, [], []
 
@@ -412,7 +414,7 @@ class TestBatch:
             return real(child, size, *args)
 
         monkeypatch.setattr(harmonic, "_walk_chunk", fail_on_third)
-        with WosBatch([req], chunk=64) as batch:
+        with WosBatch([req]) as batch:
             os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
             got = batch.collect()
         assert got == want
@@ -426,7 +428,8 @@ class TestBatch:
         threads = threading.active_count()
         req = _request(SlitDiskDomain([0.4, 0.8]), 0.1j, n_walks=300 * 8, seed=10)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        (want,) = _wos_run([req], chunk=8)
+        monkeypatch.setattr(harmonic, "WOS_CHUNK", 8)
+        (want,) = _wos_run([req])
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         parent, real, calls = os.getpid(), harmonic._walk_chunk, []
 
@@ -438,7 +441,7 @@ class TestBatch:
         monkeypatch.setattr(harmonic, "_walk_chunk", counted)
         for _ in range(5):
             calls.clear()
-            with WosBatch([req], chunk=8) as batch:
+            with WosBatch([req]) as batch:
                 (got,) = batch._tallies()
             worker_done = int(batch._board[2:].reshape(-1, 4)[:, 0].sum())
             assert np.array_equal(got, want)

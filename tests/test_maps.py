@@ -254,12 +254,49 @@ class TestBlackBoxEngine:
         assert acceptance.criterion_05_quadratic_parabolic().passed
         assert calls[0] <= 1.001 * 10 ** 6
 
-    def test_served_points_bounded(self):
-        n = 10 ** 4
+    def test_numpy_scalar_rule_bits_do_not_depend_on_request_order(self):
+        # a rule returning numpy scalars: its chain holds numpy scalars between
+        # checkpoints, and a restart from a Python complex would round
+        # differently (CPython and numpy divide complex numbers differently)
+        def rule(z):
+            return (1 + np.square(z)) / 3 + z / 7
+
+        n_max, K = 5 * CHECKPOINT_SPACING, CHECKPOINT_SPACING
+        ref, w = [0j], 0j
+        for k in range(1, n_max + 1):
+            w = rule(w)
+            if k % K == 0:
+                w = complex(w)
+            ref.append(w)
+        ref = np.array(ref, dtype=complex)
+        rng = np.random.default_rng(5)
+        ascending = np.unique(rng.integers(0, n_max + 1, 200))
+        orders = {
+            "ascending": ascending,
+            "shuffled": rng.permutation(ascending),
+            "repeated": np.array([7, 7, 3000, 7, 3000, 3000]),
+            "straddling": np.array([K - 1, K, K + 1, 3 * K - 1, 3 * K, 3 * K + 1]),
+            "reversed": ascending[::-1],
+        }
+        shared = iterate(custom_map(rule), 0.0, n_max)
+        for name, ks in orders.items():
+            for orbit in (iterate(custom_map(rule), 0.0, n_max), shared):
+                z, _ = orbit.disc_point(ks)
+                assert np.array_equal(_bits(z), _bits(ref[ks])), name
+                for k in ks[::37]:
+                    assert np.array_equal(_bits(orbit.disc_point(int(k))[0]), _bits(ref[k])), name
+
+    def test_store_holds_checkpoints_and_requested_indices(self):
+        n, K = 10 ** 4, CHECKPOINT_SPACING
         orbit = iterate(quadratic_parabolic(), 0.0, n)
+        ks = np.array([3 * K + 7, 5, 2 * K, 17, 5])
+        orbit.disc_point(ks)
+        assert orbit._at.tolist() == sorted({0, K, 2 * K, 3 * K, 5, 17, 3 * K + 7})
+        orbit.disc_point(ks[::-1])
+        assert len(orbit._at) == 7
         first, _ = orbit.disc_point(np.arange(n + 1))
         again, _ = orbit.disc_point(np.arange(n + 1)[::-1])
-        assert len(orbit._served) == maps.SERVED_MAX < n
+        assert orbit._at.tolist() == list(range(n + 1))
         assert np.array_equal(_bits(first[::-1].copy()), _bits(again))
 
     def test_leaving_the_disc_raises_with_index(self):

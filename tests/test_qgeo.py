@@ -6,8 +6,8 @@ import pytest
 from disciter.errors import InvalidPointError
 from disciter.maps import (hyperbolic_automorphism, iterate, koebe_shift,
                            parabolic_automorphism, quadratic_parabolic)
-from disciter.qgeo import (A_GRID_DEFAULT, B_MAX_DEFAULT, SLACK, PairPolicy, _search_box,
-                           curve_qg_check, discrete_qg_fit)
+from disciter.qgeo import (A_GRID, B_MAX, SLACK, _search_box, curve_qg_check,
+                           discrete_qg_fit)
 from disciter.semiflow import make_trajectory
 
 
@@ -22,8 +22,7 @@ class TestDiscrete:
         assert (cert.a, cert.b) == (1.0, 0.0)
 
     def test_two_point_orbit(self):
-        cert = discrete_qg_fit(_orbit(koebe_shift(), m_max=1),
-                               PairPolicy(m_max=1))
+        cert = discrete_qg_fit(_orbit(koebe_shift(), m_max=1), m_max=1)
         assert cert.verdict == "certified"
         assert (cert.a, cert.b) == (1.0, 0.0)
 
@@ -84,7 +83,7 @@ class TestDiscrete:
 
     def test_orbit_too_short_rejected(self):
         with pytest.raises(InvalidPointError):
-            discrete_qg_fit(_orbit(koebe_shift(), m_max=10), PairPolicy(m_max=100))
+            discrete_qg_fit(_orbit(koebe_shift(), m_max=10), m_max=100)
 
 
 class TestSearchBox:
@@ -111,11 +110,11 @@ class TestSearchBox:
         # need == slack exactly: zero distances make need = max(sums)
         cases.append((np.array([SLACK, 0.0, -1.0]), np.zeros(3)))
         cases.append((np.array([SLACK, 0.5]), np.array([0.0, 0.5])))
-        cases.append((np.array([B_MAX_DEFAULT + SLACK, 2.0]), np.array([0.0, 2.0])))
+        cases.append((np.array([B_MAX + SLACK, 2.0]), np.array([0.0, 2.0])))
         results = set()
         for sums, dists in cases:
-            got = _search_box(sums, dists, A_GRID_DEFAULT, B_MAX_DEFAULT, SLACK)
-            want = self._loop(sums, dists, A_GRID_DEFAULT, B_MAX_DEFAULT, SLACK)
+            got = _search_box(sums, dists)
+            want = self._loop(sums, dists, A_GRID, B_MAX, SLACK)
             assert got == want
             results.add("refuted" if got is None else "b=0" if got[1] == 0.0 else "b>0")
         assert results == {"refuted", "b=0", "b>0"}
