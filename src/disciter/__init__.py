@@ -2,10 +2,10 @@
 
 Subpackages by role:
 
-- hypgeo:   hyperbolic metric/distance kernels, Julia and distance-lemma
+- hypgeo:   disc metric/distance kernels, Julia and distance-lemma
             checks, Euclidean rate brackets
-- domains:  the disc, the right half-plane and the slit plane: membership,
-            boundary distances, transported hyperbolic distances, horodisc
+- domains:  the slit plane: Riemann map, membership, segment containment,
+            boundary distance, transported hyperbolic distance; horodisc
             tangency ratio
 - maps:     the model-map zoo, one chart kernel per charted model, orbit engines
 - rates:    divergence/Euclidean rate series, fits, verdicts

@@ -188,7 +188,7 @@ def criterion_07_property_suites(seed=DEFAULT_SEED):
     kdom = domains.SLIT_PLANE_K
     w1, w2 = _slit_pairs(rng, 10 ** 3)
     lo, hi = hypgeo.distance_lemma_bounds(kdom, w1, w2)
-    exact = domains.dist_domain(kdom, w1, w2)
+    exact = kdom.dist(w1, w2)
     worst_low = float(np.max(lo - exact, initial=0.0))
     worst_high = float(np.max(exact - hi, initial=0.0, where=~np.isnan(hi)))
     bracket_ok = worst_low <= 1e-9 and worst_high <= 1e-9

@@ -1,28 +1,28 @@
-"""Concrete simply connected domains (the chart images) and their distances.
+"""The slit plane K = C \\ (-inf, -1], the chart image distances are measured in.
 
-Every descriptor (the disc, the right half-plane and the slit plane) supplies
-an exact membership test, an exact test that a straight segment stays inside,
-and the Euclidean boundary distance.  dist_domain gives exact hyperbolic
-distances by conformal transport to the disc, and horodisc_tangency_ratio
-compares the horodisc metric with the disc metric.
-
-The canonical slit plane is K = C \\ (-inf, -1], uniformized by
+K is uniformized by
 
     g(z) = ((1+z)/(1-z))**2 - 1,
 
 whose inverse uses the principal square root; arguments exactly on the branch
-cut are rejected rather than resolved by convention.
+cut are rejected rather than resolved by convention.  SLIT_PLANE_K supplies an
+exact membership test, an exact test that a straight segment stays inside,
+the Euclidean boundary distance (what hypgeo.distance_lemma_bounds reads) and
+the exact hyperbolic distance by conformal transport to the disc.
+horodisc_tangency_ratio compares the horodisc metric with the disc metric.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidPointError
 from . import hypgeo
-from .hypgeo import as_complex, dist_disk, dist_halfplane
+from .hypgeo import as_complex, dist_disk
+
+
+def _on_slit(w):
+    return (np.imag(w) == 0.0) & (np.real(w) <= -1.0)
 
 
 def slit_riemann(z):
@@ -35,16 +35,10 @@ def slit_riemann(z):
 def slit_riemann_inv(w):
     """Inverse of slit_riemann: (s-1)/(s+1) with s the principal root of w+1."""
     w = as_complex(w)
-    on_slit = (np.imag(w) == 0.0) & (np.real(w) <= -1.0)
-    if np.any(on_slit):
+    if np.any(_on_slit(w)):
         raise InvalidPointError("slit_riemann_inv: point on the slit (-inf, -1]")
     s = np.sqrt(np.asarray(w, dtype=complex) + 1.0)
     return (s - 1.0) / (s + 1.0)
-
-
-def _slit_contains(w):
-    w = np.asarray(w, dtype=complex)
-    return ~((np.imag(w) == 0.0) & (np.real(w) <= -1.0))
 
 
 def slit_boundary_distance(w):
@@ -55,103 +49,71 @@ def slit_boundary_distance(w):
     return np.where(x <= -1.0, np.abs(y), np.abs(w + 1.0))
 
 
-@dataclass(frozen=True)
-class SimplyConnectedDescriptor:
-    """A named domain: membership, segment containment, boundary distance.
+def real_geodesic_dist(a, b):
+    """Distance in K between points a, b of the real geodesic (-1, +inf):
+    (1/4) |log((1+b)/(1+a))|."""
+    return 0.25 * np.abs(np.log1p(np.real(b)) - np.log1p(np.real(a)))
 
-    Tags: disc, right-half-plane, slit-plane-k.
-    """
 
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in ("disc", "right-half-plane", "slit-plane-k"):
-            raise ValueError(f"unknown domain tag {self.tag!r}")
+class SlitPlane:
+    """K = C \\ (-inf, -1]: membership, segment containment, boundary distance
+    and hyperbolic distance, each elementwise on arrays."""
 
     def contains(self, w):
-        w = np.asarray(as_complex(w), dtype=complex)
-        if self.tag == "disc":
-            return np.abs(w) < 1.0
-        if self.tag == "right-half-plane":
-            return np.real(w) > 0.0
-        return _slit_contains(w)
+        return ~_on_slit(np.asarray(as_complex(w), dtype=complex))
 
     def _require_inside(self, w, where):
         w = as_complex(w)
         if not np.all(self.contains(w)):
-            raise InvalidPointError(f"{where}: point outside {self.tag}")
+            raise InvalidPointError(f"{where}: point outside the slit plane K")
         return w
 
     def segment_inside(self, w1, w2):
-        """Exact test that the straight segment [w1, w2] stays in the domain.
+        """Exact test that the straight segment [w1, w2] stays in K.
 
-        Elementwise on arrays.  The disc and the half-plane are convex; the
-        slit plane checks the sign change of Im against the cut, which
-        pointwise sampling would miss (the slit has measure zero).
+        Checks the sign change of Im against the cut, which pointwise
+        sampling would miss (the slit has measure zero).
         """
         w1 = np.asarray(self._require_inside(w1, "segment_inside"))
         w2 = np.asarray(self._require_inside(w2, "segment_inside"))
-        if self.tag != "slit-plane-k":
-            inside = np.ones(np.broadcast_shapes(w1.shape, w2.shape), dtype=bool)
-        else:
-            y1, y2 = np.imag(w1), np.imag(w2)
-            # touching the real axis at an interior endpoint at most
-            same_side = (y1 == 0.0) | (y2 == 0.0) | ((y1 > 0) == (y2 > 0))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = y1 / (y1 - y2)
-                x_cross = (1.0 - t) * np.real(w1) + t * np.real(w2)
-            inside = same_side | (x_cross > -1.0)
+        y1, y2 = np.imag(w1), np.imag(w2)
+        # touching the real axis at an interior endpoint at most
+        same_side = (y1 == 0.0) | (y2 == 0.0) | ((y1 > 0) == (y2 > 0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = y1 / (y1 - y2)
+            x_cross = (1.0 - t) * np.real(w1) + t * np.real(w2)
+        inside = same_side | (x_cross > -1.0)
         return inside if inside.ndim else bool(inside)
 
     def boundary_distance(self, w):
-        """Exact Euclidean distance to the boundary."""
+        """Exact Euclidean distance to the slit."""
         w = self._require_inside(w, "boundary_distance")
-        wa = np.asarray(w, dtype=complex)
-        if self.tag == "disc":
-            out = 1.0 - np.abs(wa)
-        elif self.tag == "right-half-plane":
-            out = np.real(wa)
-        else:
-            out = slit_boundary_distance(wa)
+        out = slit_boundary_distance(w)
         return out if isinstance(w, np.ndarray) else float(out)
 
+    def dist(self, w1, w2):
+        """Hyperbolic distance of K by transport to the disc.
 
-DISC = SimplyConnectedDescriptor("disc")
-RIGHT_HALF_PLANE = SimplyConnectedDescriptor("right-half-plane")
-SLIT_PLANE_K = SimplyConnectedDescriptor("slit-plane-k")
-
-
-def dist_domain(domain: SimplyConnectedDescriptor, w1, w2):
-    """Hyperbolic distance of a tagged domain via conformal transport.
-
-    Closed-form shortcuts are used on axes of symmetry: points of K on the
-    real geodesic (-1, +inf) give d = (1/4) |log((1+b)/(1+a))|, and the
-    right half-plane uses its chart closed form directly.  Elementwise on
-    arrays, each pair taking the branch a scalar call would.
-    """
-    w1 = domain._require_inside(w1, "dist_domain")
-    w2 = domain._require_inside(w2, "dist_domain")
-    tag = domain.tag
-    if tag == "disc":
-        return dist_disk(w1, w2)
-    if tag == "right-half-plane":
-        return dist_halfplane(w1, w2)
-    both_real = (np.imag(w1) == 0.0) & (np.imag(w2) == 0.0)
-    if np.ndim(both_real) == 0:
-        if both_real:
-            return float(_real_geodesic_dist(w1, w2))
-        return dist_disk(slit_riemann_inv(w1), slit_riemann_inv(w2))
-    w1, w2 = np.broadcast_arrays(w1, w2)
-    out = np.empty(both_real.shape)
-    out[both_real] = _real_geodesic_dist(w1[both_real], w2[both_real])
-    off = ~both_real
-    out[off] = dist_disk(slit_riemann_inv(w1[off]), slit_riemann_inv(w2[off]))
-    return out
+        Pairs on the real geodesic (-1, +inf) take the closed form
+        real_geodesic_dist.  Elementwise on arrays, each pair taking the
+        branch a scalar call would.
+        """
+        w1 = self._require_inside(w1, "dist")
+        w2 = self._require_inside(w2, "dist")
+        both_real = (np.imag(w1) == 0.0) & (np.imag(w2) == 0.0)
+        if np.ndim(both_real) == 0:
+            if both_real:
+                return float(real_geodesic_dist(w1, w2))
+            return dist_disk(slit_riemann_inv(w1), slit_riemann_inv(w2))
+        w1, w2 = np.broadcast_arrays(w1, w2)
+        out = np.empty(both_real.shape)
+        out[both_real] = real_geodesic_dist(w1[both_real], w2[both_real])
+        off = ~both_real
+        out[off] = dist_disk(slit_riemann_inv(w1[off]), slit_riemann_inv(w2[off]))
+        return out
 
 
-def _real_geodesic_dist(w1, w2):
-    """Distance in K between points of the real geodesic (-1, +inf)."""
-    return 0.25 * np.abs(np.log1p(np.real(w2)) - np.log1p(np.real(w1)))
+SLIT_PLANE_K = SlitPlane()
 
 
 def horodisc_tangency_ratio(level, z):

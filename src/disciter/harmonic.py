@@ -487,12 +487,16 @@ def tail_slit(f: ModelMap, z, n, cut=1e-6):
     gap_n = float(traj.boundary_gap(float(n)))
     if gap_n <= cut:
         raise InvalidPointError("tail already inside the cut; lower n or cut")
-    # For the translation charts the gap is ~ 2/sqrt(t); invert to find the cut time.
+    # The slit-plane gap, ~ 2/sqrt(t), falls slowest in the zoo; invert it for
+    # the last sample time.  Where the gap falls faster (parab-aut ~ 2/t, hyp
+    # ~ lam^-t), the samples with gap below cut/2 are dropped before their
+    # disc points round onto the circle.
     t_far = float(n) + max(1.0, (2.0 / cut) ** 2)
     offsets = np.concatenate([[0.0], np.geomspace(1e-3, t_far - float(n),
                                                  TAIL_SLIT_SAMPLES - 1)])
-    pts = traj.point(float(n) + offsets)
-    return SlitDiskDomain(np.atleast_1d(pts))
+    ts = float(n) + offsets
+    ts = ts[traj.boundary_gap(ts) >= cut / 2.0]
+    return SlitDiskDomain(np.atleast_1d(traj.point(ts)))
 
 
 def tail_hm_requests(f: ModelMap, z, n_grid, n_walks=10 ** 5, seed=0, cut=1e-6,

@@ -1,4 +1,4 @@
-"""Hyperbolic geometry of the unit disc and the right half-plane.
+"""Hyperbolic geometry of the unit disc.
 
 Conventions
 -----------
@@ -14,9 +14,8 @@ to infinity.
 All functions are pure and accept numpy arrays wherever a point argument makes
 sense elementwise.  Values are immutable and safe to share across threads.
 
-Limitations: distances here are for the disc and the right half-plane only
-(domains.dist_domain transports the slit plane); no multiply connected
-geodesics, no prime ends.
+Limitations: the one distance here is the disc's (domains.SLIT_PLANE_K.dist
+transports the slit plane); no multiply connected geodesics, no prime ends.
 """
 
 from __future__ import annotations
@@ -67,16 +66,6 @@ def require_in_disk(z, where="point"):
     return z
 
 
-def _require_halfplane(w, where="point"):
-    w = as_complex(w)
-    part = np.real(w)
-    if not np.all(np.isfinite(part)):
-        raise InvalidPointError(f"{where}: non-finite input")
-    if np.any(part <= 0.0):
-        raise InvalidPointError(f"{where}: not strictly inside the right half-plane")
-    return w
-
-
 # ---------------------------------------------------------------------------
 # Metric and distance
 # ---------------------------------------------------------------------------
@@ -101,22 +90,6 @@ def dist_disk(z, w):
     gap = rho - delta
     if np.any(gap <= 0.0):
         raise InvalidPointError("dist_disk: |1 - conj(w) z| <= |z - w| (invalid interior pair)")
-    return 0.5 * np.log1p(2.0 * delta / gap)
-
-
-def dist_halfplane(w1, w2):
-    """Hyperbolic distance in the right half-plane, in closed form.
-
-    Agrees with dist_disk of the Cayley preimages but stays finite where those
-    preimages are not representable in doubles.
-    """
-    w1 = _require_halfplane(w1, "dist_halfplane w1")
-    w2 = _require_halfplane(w2, "dist_halfplane w2")
-    rho = np.abs(np.conj(w1) + w2)
-    delta = np.abs(w1 - w2)
-    gap = rho - delta
-    if np.any(gap <= 0.0):
-        raise InvalidPointError("dist_halfplane: degenerate pair")
     return 0.5 * np.log1p(2.0 * delta / gap)
 
 
@@ -170,8 +143,7 @@ def distance_lemma_bounds(domain, z1, z2):
     scalar call gives it.
 
     `domain` must provide contains(w), boundary_distance(w) and
-    segment_inside(w1, w2), elementwise, as every
-    domains.SimplyConnectedDescriptor does.
+    segment_inside(w1, w2), elementwise, as domains.SLIT_PLANE_K does.
     """
     z1, z2 = np.broadcast_arrays(np.asarray(as_complex(z1), dtype=complex),
                                  np.asarray(as_complex(z2), dtype=complex))

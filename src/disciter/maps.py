@@ -189,6 +189,7 @@ def _scaling_kernel(z0, lam):
     c0 = complex(_cayley_right(z0))
     logr0 = math.log(abs(c0))
     theta = math.atan2(c0.imag, c0.real)
+    cos_theta = math.cos(theta)
     loglam = math.log(lam)
     w0 = complex(np.log(np.asarray(c0, dtype=complex)) / loglam)
 
@@ -198,15 +199,15 @@ def _scaling_kernel(z0, lam):
     def log_abs_c_plus_1(t):
         L = log_c(t)
         u = np.exp(-L)
-        return L + 0.5 * np.log1p(u * (2.0 * math.cos(theta) + u))
+        return L + 0.5 * np.log1p(u * (2.0 * cos_theta + u))
 
     def log_one_minus_mod_sq(t):
-        return math.log(4.0 * math.cos(theta)) + log_c(t) - 2.0 * log_abs_c_plus_1(t)
+        return math.log(4.0 * cos_theta) + log_c(t) - 2.0 * log_abs_c_plus_1(t)
 
     def slope_angle(t):
         # arg(1 - z_t) = -arg(c_t + 1) = -arg(e^{i theta} + e^{-L})
         u = np.exp(-log_c(t))
-        return _unwrap(-np.arctan2(math.sin(theta), math.cos(theta) + u))
+        return _unwrap(-np.arctan2(math.sin(theta), cos_theta + u))
 
     def disc_point(t):
         sat = _log_one_minus_mod(log_one_minus_mod_sq(t)) < math.log(SATURATION_EPS)
@@ -220,6 +221,13 @@ def _scaling_kernel(z0, lam):
             return np.full(L.shape, _ray_dist(L.flat[0], theta))
         return _ray_dist(L, theta)
 
+    # 1 - |phi_t(z0)| is about 2 cos(theta) / (|c0| lam^t), so the horizon
+    # keeps it above about 1e-12 (t = 40 from 0 for every lam <= 2), but not
+    # below 1, the shortest [semiflow] t_max.  A start with cos(theta) <= 0
+    # lies outside the strip, and _kernel_at refuses it.
+    margin = 28.0 + math.log(cos_theta) - logr0 if cos_theta > 0.0 else 0.0
+    horizon = max(1.0, min(40.0, margin / loglam))
+
     return _Kernel(
         koenigs=lambda t: (logr0 + 1j * theta) / loglam + _times(t),
         log_gap=lambda t: math.log(2.0) - log_abs_c_plus_1(t),
@@ -228,9 +236,7 @@ def _scaling_kernel(z0, lam):
         pair_dist=pair_dist,
         disc_point=disc_point,
         point=lambda t: _cayley_right_inv(np.exp(np.asarray(w0 + t, dtype=complex) * loglam)),
-        # 1 - |phi_t(0)| is about 2 lam^-t, so t <= 28 / log(lam) keeps it
-        # above about 1e-12 (t = 40 for every lam <= 2).
-        horizon=min(40.0, 28.0 / loglam),
+        horizon=horizon,
         w0=w0,
         boundary_distance=math.pi / (2.0 * loglam) - abs(w0.imag))
 
@@ -273,16 +279,17 @@ def _slit_kernel(z0):
     def log_one_minus_mod_sq(t):
         return np.log(4.0 * np.real(s(t))) - 2.0 * np.log(np.abs(s(t) + 1.0))
 
+    def point(t):
+        return domains.slit_riemann_inv(w0 + _times(t))
+
     def pair_dist(t, u):
         if w0.imag == 0.0:
             # Real orbits ride the real geodesic of the slit plane.
-            a = w0.real + _times(t)
-            b = w0.real + _times(u)
-            return _unwrap(0.25 * np.abs(np.log1p(b) - np.log1p(a)))
-        return dist_disk(_cayley_right_inv(s(t)), _cayley_right_inv(s(u)))
+            return _unwrap(domains.real_geodesic_dist(w0.real + _times(t), w0.real + _times(u)))
+        return dist_disk(point(t), point(u))
 
     def disc_point(t):
-        z = _cayley_right_inv(s(t))
+        z = point(t)
         return z, is_boundary_saturated(z)
 
     return _Kernel(
@@ -292,7 +299,7 @@ def _slit_kernel(z0):
         slope_angle=lambda t: _unwrap(np.angle(2.0 / (s(t) + 1.0))),  # 1 - z_t = 2/(s_t + 1)
         pair_dist=pair_dist,
         disc_point=disc_point,
-        point=lambda t: domains.slit_riemann_inv(w0 + t),
+        point=point,
         horizon=100.0,
         w0=w0,
         boundary_distance=float(domains.slit_boundary_distance(w0)))
@@ -452,9 +459,6 @@ class OrbitRecord:
         """Which indices carry exact data: all of them for a kernel orbit, the
         unsaturated points for an orbit by composition."""
         raise NotImplementedError
-
-    def one_minus_mod_sq(self, n):
-        return np.exp(self.log_one_minus_mod_sq(n))
 
     def one_minus_mod(self, n):
         return np.exp(self.log_one_minus_mod(n))

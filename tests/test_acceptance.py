@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from disciter import acceptance, harmonic
-from disciter.domains import SLIT_PLANE_K, dist_domain
+from disciter.domains import SLIT_PLANE_K
 from disciter.hypgeo import distance_lemma_bounds
 
 # The report lines of run_all at DEFAULT_SEED, recorded before the batched
@@ -140,7 +140,7 @@ def _scalar_bracket_loop(rng):
             continue
         pairs.append((w1, w2))
         lo, hi = distance_lemma_bounds(kdom, w1, w2)
-        exact = float(dist_domain(kdom, w1, w2))
+        exact = float(kdom.dist(w1, w2))
         worst_low = max(worst_low, lo - exact)
         if hi is not None:
             worst_high = max(worst_high, exact - hi)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import disciter
 from disciter import maps, semiflow
 from disciter.cli import load_config, main
-from disciter.errors import ConfigError
+from disciter.errors import ConfigError, InvalidPointError
 
 
 def _write(tmp_path, text, name="exp.ini"):
@@ -292,7 +292,31 @@ def test_semiflow_passes_on_every_hyperbolic_rate(tmp_path, lam):
 def test_hyperbolic_horizon_is_40_up_to_lam_2():
     for lam in (1.2, 2.0):
         assert semiflow.make_trajectory(maps.hyperbolic_automorphism(lam), 0.0).horizon == 40.0
-    assert semiflow.make_trajectory(maps.hyperbolic_automorphism(3.0), 0.0).horizon < 40.0
+    for lam in (3.0, 5.0, 1e6):
+        assert semiflow.make_trajectory(maps.hyperbolic_automorphism(lam), 0.0).horizon \
+            == 28.0 / math.log(lam)
+    # from a start within about 1e-13 of the circle no horizon keeps the
+    # trajectory off it; the horizon stops at the shortest t_max
+    assert semiflow.make_trajectory(maps.hyperbolic_automorphism(2.0),
+                                    0.9999999999999j).horizon == 1.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("start", ["0.999999j", "-0.999999", "0.9+0.4j"])
+@pytest.mark.parametrize("lam", ["1.2", "2", "3"])
+def test_semiflow_passes_from_a_start_near_the_circle(tmp_path, lam, start):
+    # the default horizon shortens with 1 - |z0|, so phi_t stays off the circle
+    cfg = _write(tmp_path, f"[map]\nname = hyp:{lam}\nstart = {start}\n")
+    assert main(["semiflow", "--config", cfg, "--out", str(tmp_path), "--format", "json"]) == 0
+    checks = json.loads((tmp_path / "semiflow.json").read_text())["checks"]
+    assert all(v["passed"] for v in checks.values())
+
+
+def test_start_off_the_strip_is_refused_with_the_chart_message():
+    # z0 = -2 gives c0 = (1 + z0)/(1 - z0) = -1/3, cos(theta) = -1: the horizon
+    # is not computed from log(cos(theta)), and the start is refused
+    with pytest.raises(InvalidPointError, match="outside the chart image"):
+        maps._kernel_at(maps.hyperbolic_automorphism(2.0), -2.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -337,6 +361,15 @@ class TestHmModes:
         assert 0.0 < payload["value"] < 1.0
         assert payload["method"] == "wos-monte-carlo"
         assert payload["se"] > 0.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["parab-aut", "hyp:2"])
+    def test_tail_mode_off_the_slit_plane(self, tmp_path, name):
+        cfg = _write(tmp_path, f"[map]\nname = {name}\n[grid]\nn_max = 16\n"
+                               "[hm]\nmode = tail\n[wos]\nwalks = 2000\n")
+        out = tmp_path / "out"
+        assert main(["hm", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        assert math.isfinite(json.loads((out / "hm.json").read_text())["max_omega_sqrt_n"])
 
     def test_seed_flag_replaces_the_config_seed(self, tmp_path):
         base = "[hm]\nmode = wos\nz = 0\nslit = 0.4, 0.8\n[wos]\nwalks = 2000\n"

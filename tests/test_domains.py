@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from disciter import domains
-from disciter.domains import (SLIT_PLANE_K, SimplyConnectedDescriptor,
-                              dist_domain, horodisc_tangency_ratio,
-                              slit_riemann, slit_riemann_inv)
+from disciter.domains import (SLIT_PLANE_K, horodisc_tangency_ratio, slit_riemann,
+                              slit_riemann_inv)
 from disciter.errors import InvalidPointError
 from disciter.hypgeo import dist_disk
 
@@ -54,23 +52,22 @@ class TestSlitRiemann:
 class TestDistDomain:
     def test_slit_axis_closed_form(self):
         for n in (1.0, 5.0, 10.0 ** 6):
-            assert dist_domain(SLIT_PLANE_K, 0.0, n) == pytest.approx(
+            assert SLIT_PLANE_K.dist(0.0, n) == pytest.approx(
                 0.25 * math.log(n + 1.0), rel=1e-14)
 
     def test_identity(self):
-        for dom in (SLIT_PLANE_K, domains.RIGHT_HALF_PLANE, domains.DISC):
-            w = 0.4 + 0.1j
-            assert dist_domain(dom, w, w) == 0.0
+        for w in (0.4 + 0.1j, 0.5):
+            assert SLIT_PLANE_K.dist(w, w) == 0.0
 
     def test_slit_off_axis_matches_transport(self):
         w1, w2 = 1.0 + 2.0j, -0.5 + 0.25j
         via_disc = float(dist_disk(slit_riemann_inv(w1), slit_riemann_inv(w2)))
-        assert dist_domain(SLIT_PLANE_K, w1, w2) == pytest.approx(via_disc, abs=1e-14)
+        assert SLIT_PLANE_K.dist(w1, w2) == pytest.approx(via_disc, abs=1e-14)
 
     def test_koebe_drift_bounded(self):
         # d_K(0, n) - (1/4) log n = (1/4) log((n+1)/n), maximal at n = 1
         ns = np.geomspace(1.0, 1e6, 40)
-        drift = np.array([dist_domain(SLIT_PLANE_K, 0.0, n) for n in ns]) - 0.25 * np.log(ns)
+        drift = np.array([SLIT_PLANE_K.dist(0.0, n) for n in ns]) - 0.25 * np.log(ns)
         assert float(np.max(np.abs(drift))) <= 0.25 * math.log(2.0) + 1e-12
         assert np.all(drift > 0.0)
 
@@ -78,16 +75,11 @@ class TestDistDomain:
         # |d_K(z, z+t) - (1/4) log t| stays bounded in t for any base point
         ts = np.geomspace(1.0, 1e6, 25)
         for z in (0.0, 1.0, 2.0 + 1.5j, -0.5 - 2.0j):
-            drift = np.array([dist_domain(SLIT_PLANE_K, z, z + t) for t in ts]) \
+            drift = np.array([SLIT_PLANE_K.dist(z, z + t) for t in ts]) \
                 - 0.25 * np.log(ts)
             assert float(np.max(np.abs(drift))) < 2.0, z
             # and the drift settles: the last decade varies by o(1)
             assert abs(drift[-1] - drift[-5]) < 0.01, z
-
-    def test_strip_unsupported(self):
-        # the scaling chart's strip image is no domain here: its tag is refused
-        with pytest.raises(ValueError):
-            SimplyConnectedDescriptor("strip")
 
     def test_domain_monotonicity_under_dilation(self):
         # 3K contains K; transport gives d_{3K}(z, w) = d_K(z/3, w/3) <= d_K(z, w)
@@ -99,16 +91,13 @@ class TestDistDomain:
             if not (SLIT_PLANE_K.contains(w1) and SLIT_PLANE_K.contains(w2)):
                 continue
             count += 1
-            small = dist_domain(SLIT_PLANE_K, w1 / 3.0, w2 / 3.0)
-            assert small <= dist_domain(SLIT_PLANE_K, w1, w2) + 1e-12
+            small = SLIT_PLANE_K.dist(w1 / 3.0, w2 / 3.0)
+            assert small <= SLIT_PLANE_K.dist(w1, w2) + 1e-12
 
 
 class TestBoundaryDistance:
     def test_slit_tip(self):
         assert SLIT_PLANE_K.boundary_distance(0.0) == 1.0
-
-    def test_disc_center(self):
-        assert domains.DISC.boundary_distance(0.0) == 1.0
 
     def test_above_slit(self):
         assert SLIT_PLANE_K.boundary_distance(-1.0 + 1j) == 1.0
@@ -119,9 +108,6 @@ class TestBoundaryDistance:
     def test_outside_rejected(self):
         with pytest.raises(InvalidPointError):
             SLIT_PLANE_K.boundary_distance(-2.0)
-
-    def test_right_halfplane(self):
-        assert domains.RIGHT_HALF_PLANE.boundary_distance(2.0 + 5j) == 2.0
 
 
 class TestHorodiscTangency:
@@ -153,10 +139,3 @@ class TestHorodiscTangency:
     def test_outside_rejected(self):
         with pytest.raises(InvalidPointError):
             horodisc_tangency_ratio(1.0, -0.5)
-
-
-class TestDescriptors:
-    def test_unknown_tag_rejected(self):
-        for tag in ("banana", "upper-half-plane"):
-            with pytest.raises(ValueError):
-                SimplyConnectedDescriptor(tag)

@@ -12,7 +12,7 @@ from disciter.harmonic import (WOS_CHUNK, SlitDiskDomain, WosBatch, WosRequest, 
                                arc_diameter, arc_measure_from_diameter,
                                hm_disk_arc, hm_wos, hm_wos_many, tail_hm_series,
                                tail_slit)
-from disciter.maps import koebe_shift, iterate
+from disciter.maps import hyperbolic_automorphism, iterate, koebe_shift, parabolic_automorphism
 
 WALKS = 2 * 10 ** 4  # module tests trade walks for speed; acceptance uses 1e5
 
@@ -477,6 +477,20 @@ class TestTail:
         z10 = (math.sqrt(11.0) - 1.0) / (math.sqrt(11.0) + 1.0)
         assert slit.vertices[0] == pytest.approx(z10, abs=1e-12)
         assert abs(slit.vertices[1] - 1.0) < 2e-6
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("f", [parabolic_automorphism(), hyperbolic_automorphism(2.0)],
+                             ids=lambda f: f.name)
+    def test_tail_slit_stops_before_the_circle(self, f):
+        # these gaps fall faster than the slit plane's 2/sqrt(t): the samples
+        # past gap cut/2 would round onto the circle, and are dropped
+        for n in (1, 10, 16):
+            tail = tail_slit(f, 0.0, n, cut=1e-6)
+            gaps = np.abs(np.asarray(tail.vertices) - 1.0)
+            assert np.all(np.abs(tail.vertices) < 1.0)
+            assert gaps.min() >= 0.5e-6 and gaps.min() < 1e-3
+            start, _ = iterate(f, 0.0, n).disc_point(n)
+            assert tail.vertices[0] == pytest.approx(start, abs=1e-12)
 
     def test_series_chain(self):
         res = tail_hm_series(koebe_shift(), 0.0, [10, 100], n_walks=WALKS, seed=13)

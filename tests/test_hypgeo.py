@@ -5,15 +5,28 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from disciter import hypgeo
-from disciter.domains import RIGHT_HALF_PLANE, SLIT_PLANE_K, dist_domain
+from disciter.domains import SLIT_PLANE_K
 from disciter.errors import InvalidPointError
-from disciter.hypgeo import (BoundaryPoint, dist_disk, dist_halfplane,
-                             distance_lemma_bounds, euclid_rate_bracket,
-                             julia_check, metric_disk)
+from disciter.hypgeo import (BoundaryPoint, dist_disk, distance_lemma_bounds,
+                             euclid_rate_bracket, julia_check, metric_disk)
 
 
 # strategy: points comfortably inside the disc
 disc_points = st.complex_numbers(max_magnitude=0.95, allow_nan=False, allow_infinity=False)
+
+
+class RightHalfPlane:
+    """The right half-plane {Re w > 0} as the duck-typed domain of
+    distance_lemma_bounds: a convex domain, so no segment exits it."""
+
+    def contains(self, w):
+        return np.real(w) > 0.0
+
+    def boundary_distance(self, w):
+        return np.real(w)
+
+    def segment_inside(self, w1, w2):
+        return np.ones(np.broadcast_shapes(np.shape(w1), np.shape(w2)), dtype=bool)
 
 
 class TestMetric:
@@ -62,36 +75,6 @@ class TestDistDisk:
     def test_invalid_pair_rejected(self):
         with pytest.raises(InvalidPointError):
             dist_disk(0.999999, complex(math.inf, 0))
-
-
-class TestDistHalfplane:
-    def test_right_axis_geodesic(self):
-        # (1, lam^n) on the positive axis: d = (n/2) log lam
-        for n in (1, 2, 5):
-            assert dist_halfplane(1.0, 2.0 ** n) == pytest.approx(
-                n / 2.0 * math.log(2.0), abs=1e-13)
-
-    def test_identity(self):
-        assert dist_halfplane(1.0 + 1j, 1.0 + 1j) == 0.0
-
-    def test_cross_chart_consistency(self):
-        # d(1, 1+i) in the right chart equals dist_disk of the Cayley preimages
-        w1, w2 = 1.0, 1.0 + 1j
-        z1 = (w1 - 1.0) / (w1 + 1.0)
-        z2 = (w2 - 1.0) / (w2 + 1.0)
-        assert dist_halfplane(w1, w2) == pytest.approx(float(dist_disk(z1, z2)), abs=1e-12)
-
-    def test_right_chart_matches_disc(self):
-        rng = np.random.default_rng(5)
-        z = 0.8 * (rng.random(50) + 1j * rng.random(50) - 0.5 - 0.5j)
-        w = 0.8 * (rng.random(50) + 1j * rng.random(50) - 0.5 - 0.5j)
-        cz = (1 + z) / (1 - z)
-        cw = (1 + w) / (1 - w)
-        assert np.max(np.abs(dist_halfplane(cz, cw) - dist_disk(z, w))) < 1e-12
-
-    def test_rejects_wrong_halfplane(self):
-        with pytest.raises(InvalidPointError):
-            dist_halfplane(-1.0, 2.0)
 
 
 class TestSchwarzPickGenerics:
@@ -160,14 +143,22 @@ class TestDistanceLemma:
     def test_slit_plane_example(self):
         lo, hi = distance_lemma_bounds(SLIT_PLANE_K, 0.0, 3.0)
         assert lo == pytest.approx(0.25 * math.log(4.0), abs=1e-12)
-        exact = float(dist_domain(SLIT_PLANE_K, 0.0, 3.0))
+        exact = float(SLIT_PLANE_K.dist(0.0, 3.0))
         assert lo <= exact + 1e-12
         assert exact <= hi
 
     def test_halfplane_brackets_exact(self):
-        lo, hi = distance_lemma_bounds(RIGHT_HALF_PLANE, 1.0, 1.0 + 1j)
-        exact = float(dist_halfplane(1.0, 1.0 + 1j))
-        assert lo <= exact <= hi
+        # exact distances from the disc, through the Cayley preimages
+        def exact(w1, w2):
+            return dist_disk((w1 - 1.0) / (w1 + 1.0), (w2 - 1.0) / (w2 + 1.0))
+
+        lo, hi = distance_lemma_bounds(RightHalfPlane(), 1.0, 1.0 + 1j)
+        assert lo <= float(exact(1.0, 1.0 + 1j)) <= hi
+        rng = np.random.default_rng(5)
+        w1 = rng.uniform(0.1, 3.0, 50) + 1j * rng.uniform(-3.0, 3.0, 50)
+        w2 = rng.uniform(0.1, 3.0, 50) + 1j * rng.uniform(-3.0, 3.0, 50)
+        lo, hi = distance_lemma_bounds(RightHalfPlane(), w1, w2)
+        assert np.all(lo <= exact(w1, w2) + 1e-12) and np.all(exact(w1, w2) <= hi)
 
     def test_segment_exit_gives_absent_upper(self):
         lo, hi = distance_lemma_bounds(SLIT_PLANE_K, -2.0 + 1j, -2.0 - 1j)
@@ -186,7 +177,7 @@ class TestDistanceLemma:
         w1[20:40] = rng.uniform(-0.9, 6, 20)  # on the real geodesic
         w2[30:50] = rng.uniform(-0.9, 6, 20)
         lo, hi = distance_lemma_bounds(SLIT_PLANE_K, w1, w2)
-        exact = dist_domain(SLIT_PLANE_K, w1, w2)
+        exact = SLIT_PLANE_K.dist(w1, w2)
         exits = 0
         for k in range(w1.size):
             lo_k, hi_k = distance_lemma_bounds(SLIT_PLANE_K, complex(w1[k]), complex(w2[k]))
@@ -197,7 +188,7 @@ class TestDistanceLemma:
                 assert np.isnan(hi[k]), k
             else:
                 assert np.float64(hi_k).view(np.int64) == hi[k].view(np.int64), k
-            exact_k = float(dist_domain(SLIT_PLANE_K, complex(w1[k]), complex(w2[k])))
+            exact_k = float(SLIT_PLANE_K.dist(complex(w1[k]), complex(w2[k])))
             if w1[k].imag == 0.0 and w2[k].imag == 0.0:  # the closed form, as a scalar call
                 assert exact[k] == exact_k, k
             else:
@@ -223,7 +214,6 @@ class TestDistanceLemma:
         inside = SLIT_PLANE_K.segment_inside(w1, w2)
         assert inside.tolist() == [False, True, True, True, True]
         assert inside.tolist() == [SLIT_PLANE_K.segment_inside(a, b) for a, b in zip(w1, w2)]
-        assert RIGHT_HALF_PLANE.segment_inside(np.array([1.0, 2.0]), 1.0 + 1j).tolist() == [True, True]
 
 
 class TestTypes:
